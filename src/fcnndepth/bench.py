@@ -7,6 +7,7 @@ orderings between targets can be asserted without trusting absolute times.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -72,6 +73,27 @@ def time_callable(fn, warmup: int, iters: int) -> dict[str, float]:
         "min_s": times[0],
         "p50_s": _percentile(times, 0.50),
         "p95_s": _percentile(times, 0.95),
+    }
+
+
+def environment() -> dict:
+    """numpy and BLAS versions, CPU count and BLAS thread settings of this process.
+
+    Timings from different machines or thread settings are not comparable;
+    the bench report carries this block so that a reader can tell.
+    """
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # numpy < 1.26 can only print its config
+        deps = {}
+    blas = deps.get("blas", {})
+    return {
+        "numpy_version": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpu_count": os.cpu_count(),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
     }
 
 

@@ -99,7 +99,11 @@ def cmd_bench(args) -> int:
     for t in targets:
         _say(f"{t.name:24s} {t.resolution:>16s}  mean {t.mean_s * 1e3:9.2f} ms  "
              f"min {t.min_s * 1e3:9.2f} ms  p95 {t.p95_s * 1e3:9.2f} ms  macs {t.macs}")
-    print(json.dumps({"command": "bench", "targets": [t.as_dict() for t in targets]}))
+    print(json.dumps({
+        "command": "bench",
+        "targets": [t.as_dict() for t in targets],
+        "env": benchmod.environment(),
+    }))
     return 0
 
 

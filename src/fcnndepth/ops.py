@@ -33,6 +33,25 @@ def conv2d_padded(
     This is the primitive that both padding modes of :func:`conv2d` reduce
     to; the interleaved up-convolution branches call it directly because
     their padding is asymmetric.
+
+    Stride 1 accumulates one GEMM per kernel tap ("kn2row") and never
+    copies an im2col matrix. The padded batch is one flat
+    ``(n * hp * wp, cin)`` matrix. Output pixel ``(i, r, c)`` sits at flat
+    row ``p = (i * hp + r) * wp + c``, and tap ``(a, b)`` reads input row
+    ``p + a * wp + b``. So each tap is the contiguous row slice starting
+    at ``a * wp + b`` times ``K[a, b]``, summed into an
+    ``(n * hp * wp, cout)`` buffer. The rows whose column is at or past
+    ``ow``, or whose row is at or past ``oh``, wrap across a row or image
+    edge; they are cropped at the end. The first tap writes straight into
+    the buffer, so a 1x1 conv is a single reshape-matmul.
+
+    Stride > 1 contracts a strided ``sliding_window_view`` in one
+    ``tensordot``. Those convs are the stem and the downsampling
+    projections. The 3-channel stem is where per-tap GEMMs lose: with
+    K = 3 each GEMM is too thin, and 49 of them took 62 ms at 320x240
+    against 9.8 ms for the window copy.
+
+    The output dtype is ``np.result_type(x, kernel.weights)``.
     """
     _check_channels(x, kernel)
     if stride < 1:
@@ -46,13 +65,39 @@ def conv2d_padded(
             f"padded input {padded.shape[1]}x{padded.shape[2]} is smaller than "
             f"the {kernel.kh}x{kernel.kw} kernel (zero-size output)"
         )
-    windows = sliding_window_view(padded, (kernel.kh, kernel.kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    # windows: (N, Ho, Wo, C, kh, kw); contract (C, kh, kw) against (kh, kw, cin, cout)
-    out = np.tensordot(windows, kernel.weights, axes=([3, 4, 5], [2, 0, 1]))
+    if stride == 1:
+        out = _conv_taps(padded, kernel.weights)
+    else:
+        windows = sliding_window_view(padded, (kernel.kh, kernel.kw), axis=(1, 2))
+        windows = windows[:, ::stride, ::stride]
+        # windows: (N, Ho, Wo, C, kh, kw); contract (C, kh, kw) against (kh, kw, cin, cout)
+        out = np.tensordot(windows, kernel.weights, axes=([3, 4, 5], [2, 0, 1]))
     if kernel.bias is not None:
         out = out + kernel.bias
     return Tensor4(out)
+
+
+def _conv_taps(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Stride-1 valid cross-correlation of a padded NHWC array, one GEMM per tap.
+
+    Returns a view of shape (n, oh, ow, cout) into the accumulation buffer;
+    see :func:`conv2d_padded` for the index arithmetic.
+    """
+    n, hp, wp, cin = padded.shape
+    kh, kw, _, cout = weights.shape
+    oh, ow = hp - kh + 1, wp - kw + 1
+    rows = (n - 1) * hp * wp + (oh - 1) * wp + ow
+    flat = padded.reshape(n * hp * wp, cin)
+    taps = weights.reshape(kh * kw, cin, cout)
+    starts = [a * wp + b for a in range(kh) for b in range(kw)]
+    acc = np.empty((n * hp * wp, cout), dtype=np.result_type(padded, weights))
+    np.matmul(flat[:rows], taps[0], out=acc[:rows])
+    if len(starts) > 1:
+        prod = np.empty((rows, cout), dtype=acc.dtype)
+        for start, k in zip(starts[1:], taps[1:]):
+            np.matmul(flat[start:start + rows], k, out=prod)
+            acc[:rows] += prod
+    return acc.reshape(n, hp, wp, cout)[:, :oh, :ow]
 
 
 def same_pads(size: int, k: int, stride: int) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 
 import numpy as np
@@ -206,6 +207,24 @@ class TestBenchCommand:
             assert t["iters"] == 10
             assert t["min_s"] <= t["p50_s"] <= t["p95_s"]
         assert by_name["upconv_fast"]["macs"] < by_name["upconv_naive"]["macs"]
+
+    def test_report_records_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        code = main([
+            "bench", "--block", "upconv_fast", "--resolution", "4x4",
+            "--channels", "4:4", "--iters", "10", "--warmup", "0",
+        ])
+        assert code == 0
+        env = json.loads(capsys.readouterr().out)["env"]
+        assert set(env) == {
+            "numpy_version", "blas_name", "blas_version", "cpu_count",
+            "openblas_num_threads", "omp_num_threads",
+        }
+        assert env["numpy_version"] == np.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["openblas_num_threads"] == "1"
+        assert env["omp_num_threads"] is None
 
     def test_model_report(self, capsys):
         code = main([

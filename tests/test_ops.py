@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ def rand_tensor(rng, shape, dtype=np.float32):
     return Tensor4(rng.standard_normal(shape).astype(dtype))
 
 
-def rand_kernel(rng, kh, kw, cin, cout, bias=True):
-    w = (rng.standard_normal((kh, kw, cin, cout)) * 0.5).astype(np.float32)
-    b = (rng.standard_normal(cout) * 0.5).astype(np.float32) if bias else None
+def rand_kernel(rng, kh, kw, cin, cout, bias=True, dtype=np.float32):
+    w = (rng.standard_normal((kh, kw, cin, cout)) * 0.5).astype(dtype)
+    b = (rng.standard_normal(cout) * 0.5).astype(dtype) if bias else None
     return ConvKernel(w, b)
 
 
@@ -41,20 +43,55 @@ class TestConv2d:
 
     @pytest.mark.parametrize("seed", range(100))
     def test_matches_loop_reference_randomized(self, seed):
+        # Independent asymmetric pads (0 up to wider than k - 1), batches up
+        # to 3 and large side pads are what expose a row-end wrap-around
+        # error in the stride-1 flat-row arithmetic.
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 3))
-        h, w = (int(rng.integers(1, 8)) for _ in range(2))
-        cin, cout = (int(rng.integers(1, 4)) for _ in range(2))
-        kh, kw = (int(rng.integers(1, 4)) for _ in range(2))
+        n = int(rng.integers(1, 4))
+        h, w = (1, 1) if seed % 10 == 0 else (int(rng.integers(1, 8)) for _ in range(2))
+        cin = int(rng.integers(1, 10))
+        cout = int(rng.integers(1, 4))
+        kh, kw = (int(rng.integers(1, 6)) for _ in range(2))
         stride = int(rng.integers(1, 4))
-        x = rand_tensor(rng, (n, h, w, cin))
-        k = rand_kernel(rng, kh, kw, cin, cout, bias=bool(rng.integers(0, 2)))
-        pt, pb = same_pads_ref(h, kh, stride)
-        pl, pr = same_pads_ref(w, kw, stride)
-        out = ops.conv2d(x, k, stride=stride, padding="same")
+        dtype = (np.float32, np.float64)[int(rng.integers(0, 2))]
+        pt, pb, pl, pr = (int(rng.integers(0, 6)) for _ in range(4))
+        pb += max(kh - (h + pt + pb), 0)
+        pr += max(kw - (w + pl + pr), 0)
+        x = rand_tensor(rng, (n, h, w, cin), dtype)
+        k = rand_kernel(rng, kh, kw, cin, cout, bias=bool(rng.integers(0, 2)), dtype=dtype)
+        out = ops.conv2d_padded(x, k, stride, (pt, pb, pl, pr))
         ref = conv2d_loop_ref(x, k, stride, (pt, pb, pl, pr))
         assert out.shape == ref.shape
-        assert np.max(np.abs(out.data - ref)) <= 1e-5
+        assert out.dtype == dtype
+        tol = (1e-5 if dtype == np.float32 else 1e-12) * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(out.data - ref)) <= tol
+        same = ops.conv2d(x, k, stride=stride, padding="same")
+        same_pads = same_pads_ref(h, kh, stride) + same_pads_ref(w, kw, stride)
+        assert np.array_equal(same.data, ops.conv2d_padded(x, k, stride, same_pads).data)
+
+    def test_stride1_memory_stays_near_input_size(self):
+        # dec.b4.k33 of lite-upconv-fast at 320x240: an im2col copy of the
+        # 3x3 windows would be about 9x the input's bytes.
+        rng = np.random.default_rng(14)
+        x = rand_tensor(rng, (1, 120, 160, 128))
+        k = rand_kernel(rng, 3, 3, 128, 1)
+        tracemalloc.start()
+        try:
+            ops.conv2d_padded(x, k, 1, (1, 1, 1, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.data.nbytes
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
+    def test_output_dtype_is_result_type(self, stride, x_dtype, w_dtype):
+        rng = np.random.default_rng(15)
+        x = rand_tensor(rng, (1, 5, 6, 3), x_dtype)
+        k = rand_kernel(rng, 3, 3, 3, 2, dtype=w_dtype)
+        out = ops.conv2d_padded(x, k, stride, (1, 1, 1, 1))
+        assert out.dtype == np.result_type(x_dtype, w_dtype)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_shape_contracts(self, seed):
