@@ -8,7 +8,7 @@ depth losses with analytic gradients, evaluation metrics, and a CLI for
 inference, verification, and benchmarking.
 """
 
-from .interleave import deinterleave4, interleave4, interleave4_reference
+from .interleave import interleave4, interleave4_reference
 from .losses import AdaptiveBerHuState, aberhu_step, berhu_loss, mse_rel_loss
 from .metrics import MetricsReport, compute_metrics
 from .models import (
@@ -33,9 +33,7 @@ from .ops import (
     deconv2d,
     maxpool2,
     nearest_up2,
-    nonbt_block,
     relu,
-    resample,
     unpool_zero2,
 )
 from .tensor import BatchNormParams, ConvKernel, Tensor4
@@ -82,7 +80,6 @@ __all__ = [
     "conv2d",
     "conv2d_padded",
     "deconv2d",
-    "deinterleave4",
     "fast_block_macs",
     "infer",
     "interleave4",
@@ -93,12 +90,10 @@ __all__ = [
     "mse_rel_loss",
     "naive_block_macs",
     "nearest_up2",
-    "nonbt_block",
     "preset",
     "random_weights",
     "relu",
     "required_weights",
-    "resample",
     "save_weights",
     "shape_trace",
     "split_container",

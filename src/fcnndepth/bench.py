@@ -9,12 +9,12 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import upconv
-from .models import LayerGraph, ModelSpec, build_model, infer, random_weights
+from .models import OPS, LayerGraph, ModelSpec, build_model, infer, random_weights
 from .tensor import Tensor4
 
 MIN_ITERS = 10
@@ -37,17 +37,7 @@ class TargetReport:
     macs: int
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "resolution": self.resolution,
-            "warmup": self.warmup,
-            "iters": self.iters,
-            "mean_s": self.mean_s,
-            "min_s": self.min_s,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "macs": self.macs,
-        }
+        return asdict(self)
 
 
 def _percentile(sorted_times: list[float], q: float) -> float:
@@ -97,22 +87,9 @@ def environment() -> dict:
     }
 
 
-def layer_macs(layer) -> int:
-    """Multiply-accumulates of one layer; only conv/deconv arithmetic counts."""
-    a = layer.attrs
-    if layer.kind == "conv":
-        _, oh, ow, cout = layer.out_shape
-        return oh * ow * cout * a["kh"] * a["kw"] * a["cin"]
-    if layer.kind == "deconv":
-        # scatter form: every input element touches kh*kw*cout outputs
-        _, oh, ow, cout = layer.out_shape
-        s = a.get("stride", 2)
-        return (oh // s) * (ow // s) * a["kh"] * a["kw"] * a["cin"] * cout
-    return 0
-
-
 def graph_macs(graph: LayerGraph) -> int:
-    return sum(layer_macs(layer) for layer in graph.layers)
+    """Multiply-accumulates of one image through the graph; only conv/deconv count."""
+    return sum(OPS[layer.kind].macs(layer) for layer in graph.layers)
 
 
 def bench_model(

@@ -48,19 +48,6 @@ def interleave4_reference(a: Tensor4, b: Tensor4, c: Tensor4, d: Tensor4) -> Ten
     return Tensor4(_merge_height(top, bottom))
 
 
-def deinterleave4(x: Tensor4) -> tuple[Tensor4, Tensor4, Tensor4, Tensor4]:
-    """Inverse of interleave4; height and width must be even."""
-    if x.h % 2 or x.w % 2:
-        raise ValueError(f"deinterleave needs even spatial dims, got {x.h}x{x.w}")
-    d = x.data
-    return (
-        Tensor4(d[:, 0::2, 0::2].copy()),
-        Tensor4(d[:, 0::2, 1::2].copy()),
-        Tensor4(d[:, 1::2, 0::2].copy()),
-        Tensor4(d[:, 1::2, 1::2].copy()),
-    )
-
-
 def _merge_width(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     n, h, w, c = left.shape
     out = np.empty((n, h, 2 * w, c), dtype=left.dtype)

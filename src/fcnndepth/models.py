@@ -5,8 +5,13 @@ wiring, input resolution, optional channel-width divisor) and compiled by
 build_model into a flat LayerGraph: an ordered list of primitive layers,
 each with named inputs and a precomputed output shape. Weights live in a
 separate name-keyed container so the same graph can run with any parameter
-set; infer executes the graph layer by layer with the kernels from ops,
-interleave and upconv.
+set; infer executes the graph layer by layer with the kernels from ops and
+interleave.
+
+Each layer kind is defined once, as a row of the OPS table: its shape rule
+(used by the builder), run function (infer), weight kind (required_weights,
+random_weights, infer) and multiply-accumulate count (bench.graph_macs).
+Convolutions carry explicit (top, bottom, left, right) padding.
 
 Encoders are residual bottleneck stacks (7x7/2 stem + 2x2 max pool, then
 stacks of 1x1-3x3-1x1 blocks with expansion 4). The full encoder has four
@@ -19,6 +24,7 @@ resolution.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -131,6 +137,98 @@ def shape_trace(graph: LayerGraph) -> list[tuple[str, tuple[int, int, int, int]]
     return [(layer.name, layer.out_shape) for layer in graph.layers]
 
 
+def _conv_shape(shapes, a):
+    n, h, w, _ = shapes[0]
+    pt, pb, pl, pr = a["pads"]
+    oh = (h + pt + pb - a["kh"]) // a["stride"] + 1
+    ow = (w + pl + pr - a["kw"]) // a["stride"] + 1
+    if oh < 1 or ow < 1:
+        raise ValueError("zero-size output")
+    return (n, oh, ow, a["cout"])
+
+
+def _deconv_shape(shapes, a):
+    n, h, w, _ = shapes[0]
+    return (n, h * a["stride"], w * a["stride"], a["cout"])
+
+
+def _pool_shape(shapes, a):
+    n, h, w, c = shapes[0]
+    if h % 2 or w % 2:
+        raise ValueError(f"maxpool2 needs even dims, got {h}x{w}")
+    return (n, h // 2, w // 2, c)
+
+
+def _up2_shape(shapes, a):
+    n, h, w, c = shapes[0]
+    return (n, 2 * h, 2 * w, c)
+
+
+def _add_shape(shapes, a):
+    if shapes[0] != shapes[1]:
+        raise ValueError(f"cannot add shapes {shapes[0]} and {shapes[1]}")
+    return shapes[0]
+
+
+def _interleave_shape(shapes, a):
+    if len(set(shapes)) != 1:
+        raise ValueError(f"interleave inputs disagree: {sorted(set(shapes))}")
+    return _up2_shape(shapes, a)
+
+
+def _crop_shape(shapes, a):
+    n, h, w, c = shapes[0]
+    th, tw = a["target_h"], a["target_w"]
+    if th > h or tw > w:
+        raise ValueError(f"crop target {th}x{tw} exceeds {h}x{w}")
+    return (n, th, tw, c)
+
+
+def _conv_macs(layer: Layer) -> int:
+    _, oh, ow, cout = layer.out_shape
+    return oh * ow * cout * math.prod(_kernel_shape(layer.attrs)[:3])
+
+
+@dataclass(frozen=True)
+class Op:
+    """Everything the package knows about one layer kind.
+
+    `shape` maps the input shapes and the layer attributes to the output
+    shape, raising ValueError on inputs the kind cannot take. `run` maps the
+    layer attributes, the input tensors and the weight entry to the output.
+    `weight` is the entry the layer needs: "conv" (a ConvKernel),
+    "batchnorm" (BatchNormParams) or None. `macs` counts one image's
+    multiply-accumulates.
+    """
+
+    shape: Callable[[list[tuple[int, int, int, int]], dict], tuple[int, int, int, int]]
+    run: Callable[[dict, list[Tensor4], ConvKernel | BatchNormParams | None], Tensor4]
+    weight: str | None = None
+    macs: Callable[[Layer], int] = lambda layer: 0
+
+
+# The run functions look up `ops.<kernel>` and `interleave4` when called, so
+# that a wrapper installed on those module attributes sees every call.
+OPS: dict[str, Op] = {
+    "conv": Op(_conv_shape, lambda a, xs, w: ops.conv2d_padded(xs[0], w, a["stride"], a["pads"]),
+               "conv", _conv_macs),
+    # scatter form: each input pixel touches kh*kw*cout outputs, so stride**2
+    # fewer MACs than a conv with the same output shape
+    "deconv": Op(_deconv_shape, lambda a, xs, w: ops.deconv2d(xs[0], w, a["stride"]),
+                 "conv", lambda layer: _conv_macs(layer) // layer.attrs["stride"] ** 2),
+    "bn": Op(lambda shapes, a: shapes[0], lambda a, xs, w: ops.batchnorm_infer(xs[0], w),
+             "batchnorm"),
+    "relu": Op(lambda shapes, a: shapes[0], lambda a, xs, w: ops.relu(xs[0])),
+    "maxpool2": Op(_pool_shape, lambda a, xs, w: ops.maxpool2(xs[0])),
+    "nearest_up2": Op(_up2_shape, lambda a, xs, w: ops.nearest_up2(xs[0])),
+    "unpool_zero2": Op(_up2_shape, lambda a, xs, w: ops.unpool_zero2(xs[0])),
+    "add": Op(_add_shape, lambda a, xs, w: ops.add(xs[0], xs[1])),
+    "interleave4": Op(_interleave_shape, lambda a, xs, w: interleave4(*xs)),
+    "crop": Op(_crop_shape, lambda a, xs, w: Tensor4(
+        xs[0].data[:, : a["target_h"], : a["target_w"]].copy())),
+}
+
+
 class _Builder:
     """Accumulates layers while tracking output shapes and name uniqueness."""
 
@@ -150,68 +248,23 @@ class _Builder:
         for src in inputs:
             if src not in self.shapes:
                 raise ValueError(f"layer {name!r} references unknown input {src!r}")
-        out_shape = self._infer_shape(kind, name, inputs, attrs)
+        try:
+            out_shape = OPS[kind].shape([self.shapes[s] for s in inputs], attrs)
+        except ValueError as err:
+            raise ValueError(f"layer {name!r}: {err}") from None
         self.layers.append(Layer(name, kind, tuple(inputs), out_shape, attrs))
         self.shapes[name] = out_shape
         return name
 
-    def _infer_shape(self, kind, name, inputs, attrs) -> tuple[int, int, int, int]:
-        n, h, w, c = self.shapes[inputs[0]]
-        if kind == "conv":
-            if attrs["cin"] != c:
-                raise ValueError(f"layer {name!r}: expects {attrs['cin']} channels, input has {c}")
-            stride = attrs.get("stride", 1)
-            padding = attrs.get("padding", "same")
-            if padding == "same":
-                oh, ow = -(-h // stride), -(-w // stride)
-            elif padding == "valid":
-                oh = (h - attrs["kh"]) // stride + 1
-                ow = (w - attrs["kw"]) // stride + 1
-            else:  # explicit (top, bottom, left, right)
-                pt, pb, pl, pr = padding
-                oh = (h + pt + pb - attrs["kh"]) // stride + 1
-                ow = (w + pl + pr - attrs["kw"]) // stride + 1
-            if oh < 1 or ow < 1:
-                raise ValueError(f"layer {name!r}: zero-size output")
-            return (n, oh, ow, attrs["cout"])
-        if kind == "deconv":
-            if attrs["cin"] != c:
-                raise ValueError(f"layer {name!r}: expects {attrs['cin']} channels, input has {c}")
-            s = attrs.get("stride", 2)
-            return (n, h * s, w * s, attrs["cout"])
-        if kind in ("bn", "relu", "dropout"):
-            return (n, h, w, c)
-        if kind == "maxpool2":
-            if h % 2 or w % 2:
-                raise ValueError(f"layer {name!r}: maxpool2 needs even dims, got {h}x{w}")
-            return (n, h // 2, w // 2, c)
-        if kind in ("nearest_up2", "unpool_zero2"):
-            return (n, 2 * h, 2 * w, c)
-        if kind == "add":
-            other = self.shapes[inputs[1]]
-            if other != (n, h, w, c):
-                raise ValueError(
-                    f"layer {name!r}: cannot add shapes {(n, h, w, c)} and {other}"
-                )
-            return (n, h, w, c)
-        if kind == "interleave4":
-            shapes = {self.shapes[i] for i in inputs}
-            if len(shapes) != 1:
-                raise ValueError(f"layer {name!r}: interleave inputs disagree: {sorted(shapes)}")
-            return (n, 2 * h, 2 * w, c)
-        if kind == "crop":
-            th, tw = attrs["target_h"], attrs["target_w"]
-            if th > h or tw > w:
-                raise ValueError(f"layer {name!r}: crop target {th}x{tw} exceeds {h}x{w}")
-            return (n, th, tw, c)
-        raise ValueError(f"unknown layer kind {kind!r}")
-
 
 def _conv(b: _Builder, name: str, src: str, kh: int, kw: int, cout: int,
-          stride: int = 1, padding="same") -> str:
-    cin = b.shape(src)[3]
+          stride: int = 1, pads: tuple[int, int, int, int] | None = None) -> str:
+    """A conv with explicit (top, bottom, left, right) pads; "same" padding when None."""
+    _, h, w, cin = b.shape(src)
+    if pads is None:
+        pads = ops.same_pads(h, kh, stride) + ops.same_pads(w, kw, stride)
     return b.add("conv", name, (src,), kh=kh, kw=kw, cin=cin, cout=cout,
-                 stride=stride, padding=padding)
+                 stride=stride, pads=pads)
 
 
 def _residual_block(b: _Builder, prefix: str, src: str, mid: int, cout: int, stride: int) -> str:
@@ -319,20 +372,15 @@ def build_model(spec: ModelSpec) -> LayerGraph:
             x = _conv(b, f"{p}.up5x5", x, 5, 5, cout)
             x = b.add("bn", f"{p}.bn", (x,))
             x = b.add("relu", f"{p}.relu", (x,))
-            x = b.add("dropout", f"{p}.drop", (x,))
         else:  # upconv_fast
-            cin = b.shape(x)[3]
             sizes = {"k33": (3, 3), "k32": (3, 2), "k23": (2, 3), "k22": (2, 2)}
             branches = tuple(
-                b.add("conv", f"{p}.{k}", (x,),
-                      kh=sizes[k][0], kw=sizes[k][1],
-                      cin=cin, cout=cout, stride=1, padding=BRANCH_PADS[k])
-                for k in ("k33", "k32", "k23", "k22")
+                _conv(b, f"{p}.{k}", x, kh, kw, cout, pads=BRANCH_PADS[k])
+                for k, (kh, kw) in sizes.items()
             )
             x = b.add("interleave4", f"{p}.ilv", branches)
             x = b.add("bn", f"{p}.bn", (x,))
             x = b.add("relu", f"{p}.relu", (x,))
-            x = b.add("dropout", f"{p}.drop", (x,))
         th, tw = targets[j - 1]
         if b.shape(x)[1:3] != (th, tw):
             x = b.add("crop", f"{p}.crop", (x,), target_h=th, target_w=tw)
@@ -347,13 +395,8 @@ def build_model(spec: ModelSpec) -> LayerGraph:
 
 def required_weights(graph: LayerGraph) -> dict[str, str]:
     """Map layer name -> weight kind ('conv' or 'batchnorm') for layers that need one."""
-    out = {}
-    for layer in graph.layers:
-        if layer.kind in ("conv", "deconv"):
-            out[layer.name] = "conv"
-        elif layer.kind == "bn":
-            out[layer.name] = "batchnorm"
-    return out
+    kinds = {layer.name: OPS[layer.kind].weight for layer in graph.layers}
+    return {name: kind for name, kind in kinds.items() if kind is not None}
 
 
 def random_weights(graph: LayerGraph, seed: int = 0, dtype=np.float32):
@@ -361,19 +404,21 @@ def random_weights(graph: LayerGraph, seed: int = 0, dtype=np.float32):
 
     Convolutions get He-style scaled normals and no bias; batch norms get
     near-identity statistics so activations stay well ranged through deep
-    graphs.
+    graphs. Kernels are drawn in `dtype` (float32 or float64) and scaled in
+    place, so no kernel is ever held at a wider precision.
     """
     from .weights_io import WeightContainer
 
     rng = np.random.default_rng(seed)
     entries: dict[str, ConvKernel | BatchNormParams] = {}
     for layer in graph.layers:
-        if layer.kind in ("conv", "deconv"):
-            a = layer.attrs
-            std = math.sqrt(2.0 / (a["kh"] * a["kw"] * a["cin"]))
-            w = rng.standard_normal((a["kh"], a["kw"], a["cin"], a["cout"])) * std
-            entries[layer.name] = ConvKernel(w.astype(dtype))
-        elif layer.kind == "bn":
+        kind = OPS[layer.kind].weight
+        if kind == "conv":
+            shape = _kernel_shape(layer.attrs)
+            w = rng.standard_normal(shape, dtype=dtype)
+            w *= math.sqrt(2.0 / math.prod(shape[:3]))
+            entries[layer.name] = ConvKernel(w)
+        elif kind == "batchnorm":
             c = layer.out_shape[3]
             entries[layer.name] = BatchNormParams(
                 mean=(rng.standard_normal(c) * 0.1).astype(dtype),
@@ -385,54 +430,35 @@ def random_weights(graph: LayerGraph, seed: int = 0, dtype=np.float32):
     return WeightContainer(entries)
 
 
-def _run_layer(layer: Layer, inputs: list[Tensor4], weights) -> Tensor4:
-    kind, a = layer.kind, layer.attrs
-    if kind in ("conv", "deconv"):
-        kernel = weights[layer.name]
-        if not isinstance(kernel, ConvKernel):
-            raise ValueError("weight entry is not a convolution kernel")
-        expected = (a["kh"], a["kw"], a["cin"], a["cout"])
-        if kernel.weights.shape != expected:
-            raise ValueError(
-                f"kernel shape {kernel.weights.shape} does not match layer "
-                f"specification {expected}"
-            )
-        if kind == "conv":
-            padding = a.get("padding", "same")
-            if isinstance(padding, str):
-                return ops.conv2d(inputs[0], kernel, a.get("stride", 1), padding)
-            return ops.conv2d_padded(inputs[0], kernel, a.get("stride", 1), padding)
-        return ops.deconv2d(inputs[0], kernel, a.get("stride", 2))
-    if kind == "bn":
-        params = weights[layer.name]
-        if not isinstance(params, BatchNormParams):
-            raise ValueError("weight entry is not batch-norm parameters")
-        return ops.batchnorm_infer(inputs[0], params)
-    if kind == "relu":
-        return ops.relu(inputs[0])
-    if kind == "dropout":
-        return inputs[0]
-    if kind == "maxpool2":
-        return ops.maxpool2(inputs[0])
-    if kind == "nearest_up2":
-        return ops.nearest_up2(inputs[0])
-    if kind == "unpool_zero2":
-        return ops.unpool_zero2(inputs[0])
-    if kind == "add":
-        return ops.add(inputs[0], inputs[1])
-    if kind == "interleave4":
-        return interleave4(*inputs)
-    if kind == "crop":
-        return Tensor4(inputs[0].data[:, : a["target_h"], : a["target_w"], :].copy())
-    raise ValueError(f"unknown layer kind {kind!r}")
+_WEIGHT_TYPES = {"conv": ConvKernel, "batchnorm": BatchNormParams}
 
 
-def infer(graph: LayerGraph, weights, image: Tensor4, collect_shapes: list | None = None) -> Tensor4:
+def _kernel_shape(a: dict) -> tuple[int, int, int, int]:
+    return (a["kh"], a["kw"], a["cin"], a["cout"])
+
+
+def _weight_entry(layer: Layer, weights) -> ConvKernel | BatchNormParams | None:
+    """The layer's weight entry, checked against the layer; None if it needs none."""
+    kind = OPS[layer.kind].weight
+    if kind is None:
+        return None
+    if layer.name not in weights:
+        raise ValueError("missing weight entry")
+    entry, expected = weights[layer.name], _WEIGHT_TYPES[kind]
+    if not isinstance(entry, expected):
+        raise ValueError(f"weight entry is {type(entry).__name__}, layer needs {expected.__name__}")
+    if isinstance(entry, ConvKernel) and entry.weights.shape != _kernel_shape(layer.attrs):
+        raise ValueError(f"kernel shape {entry.weights.shape} does not match layer "
+                         f"specification {_kernel_shape(layer.attrs)}")
+    return entry
+
+
+def infer(graph: LayerGraph, weights, image: Tensor4) -> Tensor4:
     """Run the graph on an image batch and return the (N, H, W, 1) depth map.
 
     Raises ValueError naming the offending layer on a missing/mismatched
-    weight entry or a mid-graph shape violation. When `collect_shapes` is a
-    list, the actual (name, shape) trace is appended to it.
+    weight entry or a mid-graph shape violation, including a layer whose
+    output shape differs from its build-time `out_shape`.
     """
     spec = graph.spec
     if image.shape[1:] != (spec.input_h, spec.input_w, 3):
@@ -440,16 +466,12 @@ def infer(graph: LayerGraph, weights, image: Tensor4, collect_shapes: list | Non
             f"image shape {image.shape} does not match expected "
             f"(N, {spec.input_h}, {spec.input_w}, 3)"
         )
-    last_use: dict[str, int] = {}
-    for i, layer in enumerate(graph.layers):
-        for src in layer.inputs:
-            last_use[src] = i
+    last_use = {src: i for i, layer in enumerate(graph.layers) for src in layer.inputs}
     acts: dict[str, Tensor4] = {"image": image}
     for i, layer in enumerate(graph.layers):
         try:
-            out = _run_layer(layer, [acts[s] for s in layer.inputs], weights)
-        except KeyError:
-            raise ValueError(f"layer {layer.name!r}: missing weight entry") from None
+            weight = _weight_entry(layer, weights)
+            out = OPS[layer.kind].run(layer.attrs, [acts[s] for s in layer.inputs], weight)
         except ValueError as err:
             raise ValueError(f"layer {layer.name!r}: {err}") from None
         if out.shape != (image.n,) + layer.out_shape[1:]:
@@ -458,12 +480,12 @@ def infer(graph: LayerGraph, weights, image: Tensor4, collect_shapes: list | Non
                 f"trace expects {(image.n,) + layer.out_shape[1:]}"
             )
         acts[layer.name] = out
-        if collect_shapes is not None:
-            collect_shapes.append((layer.name, out.shape))
         for src in layer.inputs:
             if last_use.get(src) == i and src != graph.output:
                 del acts[src]
     return acts[graph.output]
+
+
 
 
 def with_decoder(spec: ModelSpec, decoder: str) -> ModelSpec:

@@ -12,9 +12,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import BatchNormParams, ConvKernel, Tensor4
 
-RESAMPLE_MODES = ("maxpool2", "nearest_up2", "unpool_zero2")
-
-
 def _check_channels(x: Tensor4, kernel: ConvKernel) -> None:
     if x.c != kernel.cin:
         raise ValueError(
@@ -187,35 +184,6 @@ def unpool_zero2(x: Tensor4) -> Tensor4:
     out = np.zeros((n, 2 * h, 2 * w, c), dtype=x.dtype)
     out[:, ::2, ::2] = x.data
     return Tensor4(out)
-
-
-def resample(x: Tensor4, mode: str) -> Tensor4:
-    """Dispatch to one of the 2x resampling kernels by mode name."""
-    if mode == "maxpool2":
-        return maxpool2(x)
-    if mode == "nearest_up2":
-        return nearest_up2(x)
-    if mode == "unpool_zero2":
-        return unpool_zero2(x)
-    raise ValueError(f"unknown resample mode {mode!r}; expected one of {RESAMPLE_MODES}")
-
-
-def nonbt_block(x: Tensor4, k31: ConvKernel, k13: ConvKernel) -> Tensor4:
-    """Factorized 3x3 convolution: relu(conv1x3(relu(conv3x1(x)))), same padding.
-
-    Spatial size is preserved; the two kernels must be 3x1 and 1x3 with a
-    consistent channel chain.
-    """
-    if (k31.kh, k31.kw) != (3, 1):
-        raise ValueError(f"first kernel must be 3x1, got {k31.kh}x{k31.kw}")
-    if (k13.kh, k13.kw) != (1, 3):
-        raise ValueError(f"second kernel must be 1x3, got {k13.kh}x{k13.kw}")
-    if k31.cout != k13.cin:
-        raise ValueError(
-            f"channel chain broken: 3x1 kernel emits {k31.cout}, 1x3 expects {k13.cin}"
-        )
-    y = relu(conv2d(x, k31, stride=1, padding="same"))
-    return relu(conv2d(y, k13, stride=1, padding="same"))
 
 
 def add(a: Tensor4, b: Tensor4) -> Tensor4:

@@ -1,8 +1,13 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fcnndepth.bench import graph_macs
 from fcnndepth.models import (
     EVALUATED_PRESETS,
+    OPS,
     PRESETS,
     ModelSpec,
     build_model,
@@ -15,6 +20,7 @@ from fcnndepth.models import (
     with_decoder,
 )
 from fcnndepth.tensor import Tensor4
+from fcnndepth.upconv import fast_block_macs, naive_block_macs
 from fcnndepth.weights_io import WeightContainer, split_container
 
 
@@ -141,11 +147,25 @@ class TestInfer:
         with pytest.raises(ValueError, match="image shape"):
             infer(small_graph, weights, rand_image(32, 64))
 
-    def test_actual_shapes_match_trace(self, small_graph):
+    def test_tampered_out_shape_names_layer(self, small_graph):
         weights = random_weights(small_graph, seed=7)
-        actual: list = []
-        infer(small_graph, weights, rand_image(64, 64), collect_shapes=actual)
-        assert actual == shape_trace(small_graph)
+        layers = list(small_graph.layers)
+        i = next(i for i, l in enumerate(layers) if l.name == "enc.s2.b1.relu1")
+        n, h, w, c = layers[i].out_shape
+        layers[i] = replace(layers[i], out_shape=(n, h, w, c + 1))
+        tampered = replace(small_graph, layers=tuple(layers))
+        with pytest.raises(ValueError, match=r"'enc\.s2\.b1\.relu1': produced shape"):
+            infer(tampered, weights, rand_image(64, 64))
+
+    @pytest.mark.parametrize("victim,donor", [
+        ("dec.b2.up5x5", "dec.b2.bn"),
+        ("dec.b2.bn", "dec.b2.up5x5"),
+    ])
+    def test_wrong_weight_type_names_layer(self, small_graph, victim, donor):
+        weights = random_weights(small_graph, seed=7)
+        weights.entries[victim] = weights.entries[donor]
+        with pytest.raises(ValueError, match=rf"'{victim}': weight entry is"):
+            infer(small_graph, weights, rand_image(64, 64))
 
     def test_batched_inference(self, small_graph):
         weights = random_weights(small_graph, seed=8)
@@ -199,3 +219,55 @@ class TestOddResolutionLadder:
         weights = random_weights(graph, seed=12)
         out = infer(graph, weights, rand_image(48, 96, seed=13))
         assert out.shape == (1, 48, 96, 1)
+
+
+class TestOpTable:
+    def test_every_kind_is_used_and_defined(self):
+        used = {
+            layer.kind
+            for name in PRESETS
+            for layer in build_model(preset(name, input_h=48, input_w=64, width_div=8)).layers
+        }
+        assert used == set(OPS)
+
+    @pytest.mark.parametrize("res", [(64, 64), (48, 96)])
+    def test_upconv_mac_saving_matches_block_formulas(self, res):
+        h, w = res
+        spec = preset("lite-upconv", input_h=h, input_w=w, width_div=8)
+        naive = build_model(spec)
+        fast = build_model(with_decoder(spec, "upconv_fast"))
+        shapes = dict(shape_trace(naive))
+        saving = 0
+        for layer in naive.layers:
+            if layer.kind == "unpool_zero2":
+                _, bh, bw, cin = shapes[layer.inputs[0]]
+                cout = shapes[layer.name.replace(".unpool", ".up5x5")][3]
+                saving += naive_block_macs(bh, bw, cin, cout) - fast_block_macs(bh, bw, cin, cout)
+        assert saving > 0
+        assert graph_macs(naive) - graph_macs(fast) == saving
+
+    def test_deconv_macs_count_input_pixels(self):
+        # scatter form: each input pixel meets every kh*kw*cin*cout weight once
+        graph = build_model(preset("basic-deconv", input_h=48, input_w=64, width_div=8))
+        shapes = dict(shape_trace(graph))
+        deconvs = [l for l in graph.layers if l.kind == "deconv"]
+        expected = sum(
+            shapes[l.inputs[0]][1] * shapes[l.inputs[0]][2] * 25 * l.attrs["cin"] * l.attrs["cout"]
+            for l in deconvs
+        )
+        assert len(deconvs) == 5
+        assert sum(OPS["deconv"].macs(l) for l in deconvs) == expected
+
+    def test_random_weights_peak_memory_near_weight_bytes(self):
+        graph = build_model(preset("lite-upconv", input_h=64, input_w=64, width_div=4))
+        tracemalloc.start()
+        try:
+            weights = random_weights(graph, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        total = sum(
+            sum(a.nbytes for a in vars(e).values() if isinstance(a, np.ndarray))
+            for e in weights.entries.values()
+        )
+        assert peak < 1.3 * total

@@ -236,35 +236,36 @@ class TestBatchNorm:
 class TestResample:
     def test_unpool_zero2_definition(self):
         x = Tensor4(np.full((1, 1, 1, 1), 3.5, dtype=np.float32))
-        out = ops.resample(x, "unpool_zero2").data[0, :, :, 0]
+        out = ops.unpool_zero2(x).data[0, :, :, 0]
         assert np.array_equal(out, np.array([[3.5, 0.0], [0.0, 0.0]], dtype=np.float32))
 
     def test_nearest_up2_definition(self):
         x = Tensor4(np.full((1, 1, 1, 1), 2.5, dtype=np.float32))
-        out = ops.resample(x, "nearest_up2").data[0, :, :, 0]
+        out = ops.nearest_up2(x).data[0, :, :, 0]
         assert np.array_equal(out, np.full((2, 2), 2.5, dtype=np.float32))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_maxpool_inverts_nearest_up(self, seed):
         rng = np.random.default_rng(seed + 70)
         x = rand_tensor(rng, (2, int(rng.integers(1, 7)), int(rng.integers(1, 7)), 3))
-        roundtrip = ops.resample(ops.resample(x, "nearest_up2"), "maxpool2")
+        roundtrip = ops.maxpool2(ops.nearest_up2(x))
         assert np.array_equal(roundtrip.data, x.data)
 
     def test_maxpool_takes_block_maxima(self):
         x = Tensor4(np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1))
-        out = ops.resample(x, "maxpool2").data[0, :, :, 0]
+        out = ops.maxpool2(x).data[0, :, :, 0]
         assert np.array_equal(out, np.array([[5, 7], [13, 15]], dtype=np.float32))
 
     def test_maxpool_rejects_odd_dims(self):
         x = Tensor4(np.zeros((1, 3, 4, 1), dtype=np.float32))
         with pytest.raises(ValueError, match="even"):
-            ops.resample(x, "maxpool2")
+            ops.maxpool2(x)
 
-    def test_unknown_mode_rejected(self):
-        x = Tensor4(np.zeros((1, 2, 2, 1), dtype=np.float32))
-        with pytest.raises(ValueError, match="mode"):
-            ops.resample(x, "bilinear")
+
+def nonbt_pair(x, k31, k13):
+    """The upsampling_nonbt decoder's factorized conv: relu(conv1x3(relu(conv3x1(x))))."""
+    y = ops.relu(ops.conv2d(x, k31, stride=1, padding="same"))
+    return ops.relu(ops.conv2d(y, k13, stride=1, padding="same"))
 
 
 class TestNonbtBlock:
@@ -281,19 +282,19 @@ class TestNonbtBlock:
         rng = np.random.default_rng(8)
         x = Tensor4(rng.random((1, 5, 4, 2), dtype=np.float32))
         k31, k13 = self.delta_kernels(2)
-        assert np.array_equal(ops.nonbt_block(x, k31, k13).data, x.data)
+        assert np.array_equal(nonbt_pair(x, k31, k13).data, x.data)
 
     def test_preserves_shape(self):
         rng = np.random.default_rng(9)
         x = rand_tensor(rng, (2, 6, 5, 3))
         k31 = rand_kernel(rng, 3, 1, 3, 4, bias=False)
         k13 = rand_kernel(rng, 1, 3, 4, 4, bias=False)
-        assert ops.nonbt_block(x, k31, k13).shape == (2, 6, 5, 4)
+        assert nonbt_pair(x, k31, k13).shape == (2, 6, 5, 4)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_separable_product_oracle(self, seed):
         # With nonnegative input and kernels the inner relu never clips, so
-        # the factorized block equals one 3x3 outer-product kernel.
+        # the factorized pair equals one 3x3 outer-product kernel.
         rng = np.random.default_rng(seed + 200)
         cin = int(rng.integers(1, 3))
         x = Tensor4(rng.random((1, 5, 5, cin), dtype=np.float32))
@@ -304,20 +305,9 @@ class TestNonbtBlock:
         product = ConvKernel(
             (col[:, :, :, 0][:, :, :, None] * row[0, :, 0, 0][None, :, None, None])
         )
-        out = ops.nonbt_block(x, k31, k13)
+        out = nonbt_pair(x, k31, k13)
         direct = ops.conv2d(x, product, stride=1, padding="same")
         assert np.max(np.abs(out.data - direct.data)) <= 1e-5
-
-    def test_wrong_extents_rejected(self):
-        rng = np.random.default_rng(11)
-        x = rand_tensor(rng, (1, 4, 4, 2))
-        good31 = rand_kernel(rng, 3, 1, 2, 2, bias=False)
-        good13 = rand_kernel(rng, 1, 3, 2, 2, bias=False)
-        bad = rand_kernel(rng, 3, 3, 2, 2, bias=False)
-        with pytest.raises(ValueError, match="3x1"):
-            ops.nonbt_block(x, bad, good13)
-        with pytest.raises(ValueError, match="1x3"):
-            ops.nonbt_block(x, good31, bad)
 
 
 class TestAdd:
