@@ -32,7 +32,7 @@ import numpy as np
 from . import ops
 from .interleave import interleave4
 from .tensor import BatchNormParams, ConvKernel, Tensor4
-from .upconv import BRANCH_PADS
+from .upconv import BRANCHES
 
 ENCODERS = ("basic", "lite_basic")
 DECODERS = ("deconv", "upsampling_nonbt", "upconv_naive", "upconv_fast")
@@ -373,10 +373,9 @@ def build_model(spec: ModelSpec) -> LayerGraph:
             x = b.add("bn", f"{p}.bn", (x,))
             x = b.add("relu", f"{p}.relu", (x,))
         else:  # upconv_fast
-            sizes = {"k33": (3, 3), "k32": (3, 2), "k23": (2, 3), "k22": (2, 2)}
             branches = tuple(
-                _conv(b, f"{p}.{k}", x, kh, kw, cout, pads=BRANCH_PADS[k])
-                for k, (kh, kw) in sizes.items()
+                _conv(b, f"{p}.{k}", x, kh, kw, cout, pads=pads)
+                for k, (_, _, (kh, kw), pads) in BRANCHES.items()
             )
             x = b.add("interleave4", f"{p}.ilv", branches)
             x = b.add("bn", f"{p}.bn", (x,))

@@ -7,19 +7,15 @@ convolves the un-upsampled input with each, and interleaves the four
 results, producing the same output with a quarter of the multiply
 accumulates.
 
-Tap mapping: on the zero-stuffed grid only even/even positions are nonzero,
-so for a given output-pixel parity only taps of one parity class of the 5x5
-kernel (offsets relative to its center) ever touch data. Slicing the kernel
-rows/cols by parity yields the four sub-kernels:
-
-    k33 = K[0::2, 0::2]   (even row, even col offsets, 3x3)
-    k32 = K[0::2, 1::2]   (even, odd, 3x2)
-    k23 = K[1::2, 0::2]   (odd, even, 2x3)
-    k22 = K[1::2, 1::2]   (odd, odd, 2x2)
-
-Each branch needs its own asymmetric padding for the outputs to line up
-with the naive path; the table below was derived once from that
-equivalence requirement and is frozen.
+Parity split: only even/even positions of the zero-stuffed grid hold data.
+Through the 5x5 "same" convolution output row 2i + r reads up[2i + r + a - 2]
+with kernel row a; that holds data only when a = r + 2t, and is then input
+row i + r + t - 1. So the branch for output parity (r, c) convolves the
+un-upsampled input with K[r::2, c::2], a (3 - r) x (3 - c) sub-kernel, padded
+by (top, bottom, left, right) = (1 - r, 1, 1 - c, 1) so that it keeps the
+input size, and writes output pixels [r::2, c::2], interleave4's argument
+order. The branches k33, k32, k23 and k22 hold 9 + 6 + 6 + 4 = 25 taps.
+BRANCHES states this rule once for the split, the fast block and the builder.
 """
 from __future__ import annotations
 
@@ -31,12 +27,10 @@ from . import ops
 from .interleave import interleave4
 from .tensor import BatchNormParams, ConvKernel, Tensor4
 
-# (top, bottom, left, right) zero padding per parity branch, stride 1.
-BRANCH_PADS = {
-    "k33": (1, 1, 1, 1),
-    "k32": (1, 1, 0, 1),
-    "k23": (0, 1, 1, 1),
-    "k22": (0, 1, 0, 1),
+# name -> (row parity r, column parity c, sub-kernel (kh, kw), pads)
+BRANCHES = {
+    f"k{3 - r}{3 - c}": (r, c, (3 - r, 3 - c), (1 - r, 1, 1 - c, 1))
+    for r in (0, 1) for c in (0, 1)
 }
 
 
@@ -56,51 +50,40 @@ class UpConvWeights:
 
 @dataclass(frozen=True)
 class SplitUpConvWeights:
-    """Parameters of the fast block: the four parity sub-kernels plus batch-norm."""
+    """Parameters of the fast block: one sub-kernel per BRANCHES name plus batch-norm."""
 
-    k33: ConvKernel
-    k32: ConvKernel
-    k23: ConvKernel
-    k22: ConvKernel
+    kernels: dict[str, ConvKernel]
     bn: BatchNormParams
 
     def __post_init__(self):
-        expected = {"k33": (3, 3), "k32": (3, 2), "k23": (2, 3), "k22": (2, 2)}
+        if self.kernels.keys() != BRANCHES.keys():
+            raise ValueError(
+                f"sub-kernels must be named {list(BRANCHES)}, got {list(self.kernels)}"
+            )
         chans = set()
-        for name, (kh, kw) in expected.items():
-            k: ConvKernel = getattr(self, name)
-            if (k.kh, k.kw) != (kh, kw):
-                raise ValueError(f"{name} must be {kh}x{kw}, got {k.kh}x{k.kw}")
+        for name, (_, _, size, _) in BRANCHES.items():
+            k = self.kernels[name]
+            if (k.kh, k.kw) != size:
+                raise ValueError(f"{name} must be {size[0]}x{size[1]}, got {k.kh}x{k.kw}")
             chans.add((k.cin, k.cout))
         if len(chans) != 1:
             raise ValueError(f"sub-kernels disagree on channels: {sorted(chans)}")
 
-    @property
-    def kernels(self) -> dict[str, ConvKernel]:
-        return {"k33": self.k33, "k32": self.k32, "k23": self.k23, "k22": self.k22}
-
 
 def split_weights_5x5(weights: UpConvWeights) -> SplitUpConvWeights:
-    """Partition a 5x5 kernel into the four parity sub-kernels.
+    """Partition a 5x5 kernel into the four parity sub-kernels K[r::2, c::2].
 
     The 25 taps per (cin, cout) pair are rearranged, never altered: the
     split is a bijection onto 9 + 6 + 6 + 4 taps. The shared bias, if any,
     is replicated into every sub-kernel since each output pixel is produced
     by exactly one branch.
     """
-    k = weights.full.weights
-    bias = weights.full.bias
-
-    def sub(rows: slice, cols: slice) -> ConvKernel:
-        return ConvKernel(np.ascontiguousarray(k[rows, cols]), bias)
-
-    return SplitUpConvWeights(
-        k33=sub(slice(0, None, 2), slice(0, None, 2)),
-        k32=sub(slice(0, None, 2), slice(1, None, 2)),
-        k23=sub(slice(1, None, 2), slice(0, None, 2)),
-        k22=sub(slice(1, None, 2), slice(1, None, 2)),
-        bn=weights.bn,
-    )
+    k, bias = weights.full.weights, weights.full.bias
+    kernels = {
+        name: ConvKernel(np.ascontiguousarray(k[r::2, c::2]), bias)
+        for name, (r, c, _, _) in BRANCHES.items()
+    }
+    return SplitUpConvWeights(kernels, weights.bn)
 
 
 def upconv_block_naive(x: Tensor4, weights: UpConvWeights) -> Tensor4:
@@ -113,8 +96,8 @@ def upconv_block_naive(x: Tensor4, weights: UpConvWeights) -> Tensor4:
 def upconv_block_fast(x: Tensor4, weights: SplitUpConvWeights) -> Tensor4:
     """Interleaved equivalent of the naive block on the un-upsampled input."""
     branches = [
-        ops.conv2d_padded(x, kernel, stride=1, pads=BRANCH_PADS[name])
-        for name, kernel in weights.kernels.items()
+        ops.conv2d_padded(x, weights.kernels[name], stride=1, pads=pads)
+        for name, (_, _, _, pads) in BRANCHES.items()
     ]
     y = interleave4(*branches)
     return ops.relu(ops.batchnorm_infer(y, weights.bn))

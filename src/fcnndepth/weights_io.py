@@ -20,6 +20,7 @@ mean, variance, gamma, beta, and the eps value replicated across the row.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,24 +64,28 @@ class WeightContainer:
         return [name for name in required_weights(graph) if name not in self.entries]
 
 
-def _pack_record(name: str, kind: int, array: np.ndarray) -> bytes:
+def _record(name: str, kind: int, array: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The header bytes of one record, and its array."""
     encoded = name.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise WeightFormatError(f"name too long: {name!r}")
-    header = struct.pack("<H", len(encoded)) + encoded
-    header += struct.pack("<BB", kind, array.ndim)
-    header += struct.pack(f"<{array.ndim}I", *array.shape)
-    return header + np.ascontiguousarray(array, dtype="<f4").tobytes()
+    header = struct.pack(f"<H{len(encoded)}sBB{array.ndim}I",
+                         len(encoded), encoded, kind, array.ndim, *array.shape)
+    return header, array
 
 
 def save_weights(container: WeightContainer, path) -> None:
-    """Serialize a container; loading the result reproduces it exactly."""
-    chunks = [MAGIC, bytes([VERSION])]
+    """Serialize a container; loading the result reproduces it exactly.
+
+    Every entry is checked before the file is opened; each float32 array is
+    then written from its own buffer, so saving makes no copy of the weights.
+    """
+    records = []
     for name, entry in container.entries.items():
         if isinstance(entry, ConvKernel):
-            chunks.append(_pack_record(name, _KIND_CONV, entry.weights))
+            records.append(_record(name, _KIND_CONV, entry.weights))
             if entry.bias is not None:
-                chunks.append(_pack_record(f"{name}.bias", _KIND_CONV, entry.bias))
+                records.append(_record(f"{name}.bias", _KIND_CONV, entry.bias))
         elif isinstance(entry, BatchNormParams):
             c = entry.channels
             block = np.empty((5, c), dtype=np.float32)
@@ -89,10 +94,14 @@ def save_weights(container: WeightContainer, path) -> None:
             block[2] = entry.gamma
             block[3] = entry.beta
             block[4] = np.float32(entry.eps)
-            chunks.append(_pack_record(name, _KIND_BATCHNORM, block))
+            records.append(_record(name, _KIND_BATCHNORM, block))
         else:
             raise WeightFormatError(f"entry {name!r} has unsupported type {type(entry)}")
-    Path(path).write_bytes(b"".join(chunks))
+    with open(path, "wb") as f:
+        f.write(MAGIC + bytes([VERSION]))
+        for header, array in records:
+            f.write(header)
+            f.write(np.ascontiguousarray(array, dtype="<f4").data)
 
 
 class _Reader:
@@ -114,10 +123,44 @@ class _Reader:
         return self.pos >= len(self.blob)
 
 
+def _read_record(r: _Reader, entries: dict[str, ConvKernel | BatchNormParams]) -> None:
+    """Parse the record at the reader's position into `entries`."""
+    (name_len,) = struct.unpack("<H", r.take(2))
+    name = r.take(name_len).decode("utf-8")
+    kind, rank = struct.unpack("<BB", r.take(2))
+    dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
+    data = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+    data = data.astype(np.float32)  # native byte order, writable copy
+
+    if kind == _KIND_CONV and rank == 1 and name.endswith(".bias"):
+        base = name[: -len(".bias")]
+        kernel = entries.get(base)
+        if not isinstance(kernel, ConvKernel):
+            raise WeightFormatError(f"bias record {name!r} has no preceding kernel")
+        entries[base] = ConvKernel(kernel.weights, data)
+        return
+    if name in entries:
+        raise WeightFormatError(f"duplicate entry name {name!r}")
+    if kind == _KIND_CONV:
+        if rank != 4:
+            raise WeightFormatError(f"kernel record {name!r} must be rank 4, got {rank}")
+        entries[name] = ConvKernel(data)
+    elif kind == _KIND_BATCHNORM:
+        if rank != 2 or dims[0] != 5 or dims[1] < 1:
+            raise WeightFormatError(
+                f"batch-norm record {name!r} must have dims (5, c >= 1), got {dims}"
+            )
+        entries[name] = BatchNormParams(
+            mean=data[0], variance=data[1], gamma=data[2], beta=data[3],
+            eps=float(data[4, 0]),
+        )
+    else:
+        raise WeightFormatError(f"unknown record kind {kind} for {name!r}")
+
+
 def load_weights(path) -> WeightContainer:
-    """Parse a weight file back into a WeightContainer."""
-    blob = Path(path).read_bytes()
-    r = _Reader(blob)
+    """Parse a weight file; a malformed one raises WeightFormatError naming the offset."""
+    r = _Reader(Path(path).read_bytes())
     if r.take(4) != MAGIC:
         raise WeightFormatError(f"bad magic in {path}: not a weight container")
     version = r.take(1)[0]
@@ -126,38 +169,11 @@ def load_weights(path) -> WeightContainer:
 
     entries: dict[str, ConvKernel | BatchNormParams] = {}
     while not r.done():
-        (name_len,) = struct.unpack("<H", r.take(2))
-        name = r.take(name_len).decode("utf-8")
-        kind, rank = struct.unpack("<BB", r.take(2))
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(dims)
-        data = data.astype(np.float32)  # native byte order, writable copy
-
-        if kind == _KIND_CONV and rank == 1 and name.endswith(".bias"):
-            base = name[: -len(".bias")]
-            kernel = entries.get(base)
-            if not isinstance(kernel, ConvKernel):
-                raise WeightFormatError(f"bias record {name!r} has no preceding kernel")
-            entries[base] = ConvKernel(kernel.weights, data)
-            continue
-        if name in entries:
-            raise WeightFormatError(f"duplicate entry name {name!r}")
-        if kind == _KIND_CONV:
-            if rank != 4:
-                raise WeightFormatError(f"kernel record {name!r} must be rank 4, got {rank}")
-            entries[name] = ConvKernel(data)
-        elif kind == _KIND_BATCHNORM:
-            if rank != 2 or dims[0] != 5:
-                raise WeightFormatError(
-                    f"batch-norm record {name!r} must have dims (5, c), got {dims}"
-                )
-            entries[name] = BatchNormParams(
-                mean=data[0], variance=data[1], gamma=data[2], beta=data[3],
-                eps=float(data[4, 0]),
-            )
-        else:
-            raise WeightFormatError(f"unknown record kind {kind} for {name!r}")
+        start = r.pos
+        try:
+            _read_record(r, entries)
+        except ValueError as err:  # also UnicodeDecodeError and the tensor types' checks
+            raise WeightFormatError(f"record at byte offset {start}: {err}") from err
     return WeightContainer(entries)
 
 

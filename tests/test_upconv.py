@@ -4,7 +4,7 @@ import pytest
 from fcnndepth import ops
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
 from fcnndepth.upconv import (
-    BRANCH_PADS,
+    BRANCHES,
     SplitUpConvWeights,
     UpConvWeights,
     fast_block_macs,
@@ -32,10 +32,10 @@ class TestSplitWeights:
         split = split_weights_5x5(UpConvWeights(ConvKernel(k), identity_bn(1)))
         expected = np.zeros((3, 3, 1, 1), dtype=np.float32)
         expected[1, 1, 0, 0] = 1.0
-        assert np.array_equal(split.k33.weights, expected)
-        assert not split.k32.weights.any()
-        assert not split.k23.weights.any()
-        assert not split.k22.weights.any()
+        assert np.array_equal(split.kernels["k33"].weights, expected)
+        assert not split.kernels["k32"].weights.any()
+        assert not split.kernels["k23"].weights.any()
+        assert not split.kernels["k22"].weights.any()
 
     def test_parity_class_cardinalities(self):
         k = np.ones((5, 5, 2, 3), dtype=np.float32)
@@ -68,8 +68,33 @@ class TestSplitWeights:
         bad = ConvKernel(np.zeros((2, 2, 1, 1), dtype=np.float32))
         k23 = ConvKernel(np.zeros((2, 3, 1, 1), dtype=np.float32))
         k22 = ConvKernel(np.zeros((2, 2, 1, 1), dtype=np.float32))
+        kernels = {"k33": k33, "k32": bad, "k23": k23, "k22": k22}
         with pytest.raises(ValueError, match="k32"):
-            SplitUpConvWeights(k33, bad, k23, k22, identity_bn(1))
+            SplitUpConvWeights(kernels, identity_bn(1))
+        missing = {"k33": k33, "k23": k23, "k22": k22}
+        with pytest.raises(ValueError, match="named"):
+            SplitUpConvWeights(missing, identity_bn(1))
+        extra = {"k33": k33, "k32": k22, "k23": k23, "k22": k22, "k55": k33}
+        with pytest.raises(ValueError, match="k55"):
+            SplitUpConvWeights(extra, identity_bn(1))
+
+    def test_table_reproduces_one_hot_slices(self):
+        # for every one-hot 5x5 kernel, branch (r, c) alone (its slice of the
+        # kernel, which must have the table's size, convolved with the
+        # table's pads) gives pixels [r::2, c::2] of the naive "same" 5x5
+        # conv on the zero-stuffed grid
+        x = Tensor4(np.random.default_rng(9).standard_normal((1, 4, 5, 1)))
+        up = ops.unpool_zero2(x)
+        for a in range(5):
+            for b in range(5):
+                k = np.zeros((5, 5, 1, 1))
+                k[a, b] = 1.0
+                naive = ops.conv2d(up, ConvKernel(k), stride=1, padding="same").data
+                for r, c, size, pads in BRANCHES.values():
+                    sub = ConvKernel(k[r::2, c::2])
+                    assert (sub.kh, sub.kw) == size
+                    branch = ops.conv2d_padded(x, sub, stride=1, pads=pads).data
+                    assert np.array_equal(branch, naive[:, r::2, c::2]), (a, b, r, c)
 
 
 class TestNaiveBlock:
@@ -131,6 +156,11 @@ class TestFastBlock:
             )
             cout = int(rng.integers(1, 9))
             worst = max(worst, verify_equivalence(shape, seed, cout=cout))
+        # one-pixel-high and one-pixel-wide inputs, narrower than the
+        # three-tap branch kernels
+        for seed, (n, h, w) in enumerate([(1, 1, 1), (1, 1, 5), (2, 5, 1)]):
+            for c in (1, 3):
+                worst = max(worst, verify_equivalence((n, h, w, c), seed, cout=2))
         assert worst <= 1e-5
 
     def test_equivalent_in_float64(self):
@@ -169,7 +199,7 @@ class TestFastBlock:
         x = Tensor4(rng.standard_normal((1, 5, 6, 2)).astype(np.float32))
         split = split_weights_5x5(random_upconv_weights(2, 3, rng) )
         for name, kernel in split.kernels.items():
-            out = ops.conv2d_padded(x, kernel, stride=1, pads=BRANCH_PADS[name])
+            out = ops.conv2d_padded(x, kernel, stride=1, pads=BRANCHES[name][3])
             assert out.shape == (1, 5, 6, 3), name
 
 

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +80,32 @@ class TestRoundTrip:
         assert_containers_equal(weights, loaded)
         assert loaded.missing_for(graph) == []
 
+    def test_save_peak_memory_well_under_weight_bytes(self, tmp_path):
+        # records go to the file one at a time, each array from its own buffer
+        graph = build_model(preset("lite-upconv", input_h=240, input_w=320, width_div=4))
+        weights = random_weights(graph, seed=5)
+        weight_bytes = sum(
+            e.weights.nbytes if isinstance(e, ConvKernel) else 4 * e.mean.nbytes
+            for e in weights.entries.values()
+        )
+        tracemalloc.start()
+        try:
+            save_weights(weights, tmp_path / "w.fcnw")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * weight_bytes, (peak, weight_bytes)
+
+    def test_unsavable_container_leaves_file_untouched(self, container, tmp_path):
+        path = tmp_path / "w.fcnw"
+        path.write_bytes(b"previous contents")
+        bad_type = WeightContainer({**container.entries, "z": np.zeros(3)})
+        long_name = WeightContainer({**container.entries, "n" * 0x10000: container["head.conv"]})
+        for bad, match in ((bad_type, "unsupported type"), (long_name, "too long")):
+            with pytest.raises(WeightFormatError, match=match):
+                save_weights(bad, path)
+            assert path.read_bytes() == b"previous contents"
+
 
 class TestFormatErrors:
     def test_bad_magic(self, container, tmp_path):
@@ -132,6 +161,47 @@ class TestFormatErrors:
         with pytest.raises(WeightFormatError, match="bias"):
             load_weights(path)
         del c
+
+    def test_bad_tensor_values_name_record_offset(self, container, tmp_path):
+        path = tmp_path / "w.fcnw"
+        save_weights(WeightContainer({"bn": container["stem.bn"]}), path)
+        blob = bytearray(path.read_bytes())
+        # the variance row follows magic, version, u16 length, "bn", kind,
+        # rank, dims (5, 8) and the 8 means
+        var0 = 5 + 2 + 2 + 2 + 8 + 4 * 8
+        blob[var0 : var0 + 4] = np.float32(-1.0).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightFormatError, match="offset 5: variance"):
+            load_weights(path)
+
+    def test_mutated_files_raise_only_format_errors(self, tmp_path):
+        # seeded truncations, byte overwrites and random tails of a small
+        # preset file: each either loads or raises WeightFormatError whose
+        # message locates the fault
+        graph = build_model(preset("lite-upconv", input_h=32, input_w=32, width_div=64))
+        path = tmp_path / "w.fcnw"
+        save_weights(random_weights(graph, seed=6), path)
+        good = path.read_bytes()
+        escaped, unlocated = [], []
+        for seed in range(3000):
+            rng = np.random.default_rng(seed)
+            blob = bytearray(good)
+            if seed % 3 == 0:
+                blob = blob[: int(rng.integers(0, len(blob)))]
+            elif seed % 3 == 1:
+                for pos in rng.integers(0, len(blob), int(rng.integers(1, 9))):
+                    blob[pos] = int(rng.integers(0, 256))
+            else:
+                blob += rng.bytes(int(rng.integers(1, 64)))
+            path.write_bytes(bytes(blob))
+            try:
+                load_weights(path)
+            except WeightFormatError as err:
+                if not re.search("offset|magic|version", str(err)):
+                    unlocated.append((seed, str(err)))
+            except Exception as err:  # any other type escaping is the failure under test
+                escaped.append((seed, repr(err)))
+        assert escaped == [] and unlocated == []
 
 
 class TestSplitContainer:
