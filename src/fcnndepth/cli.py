@@ -16,19 +16,13 @@ import numpy as np
 
 from . import bench as benchmod
 from . import synthetic
-from .fileio import (
-    FileFormatError,
-    image_to_tensor,
-    read_depth_raster,
-    read_ppm,
-    write_depth_raster,
-)
+from .fileio import image_to_tensor, read_depth_raster, read_ppm, write_depth_raster
 from .interleave import interleave4, interleave4_reference
 from .metrics import compute_metrics
 from .models import PRESETS, build_model, infer, preset
 from .tensor import Tensor4
 from .upconv import verify_equivalence
-from .weights_io import WeightFormatError, load_weights, save_weights, split_container
+from .weights_io import load_weights, save_weights, split_container
 
 DEFAULT_WIDTH_DIV = 8
 FLOAT32_TOL = 1e-5
@@ -66,13 +60,7 @@ def cmd_infer(args) -> int:
     h, w = rgb.shape[:2]
     spec = preset(args.model, input_h=h, input_w=w, width_div=args.width_div)
     graph = build_model(spec)
-    weights = load_weights(args.weights)
-    missing = weights.missing_for(graph)
-    if missing:
-        _say(f"error: layer {missing[0]!r}: missing weight entry "
-             f"({len(missing)} missing in total)")
-        return 2
-    depth = infer(graph, weights, image_to_tensor(rgb))
+    depth = infer(graph, load_weights(args.weights), image_to_tensor(rgb))
     write_depth_raster(args.output, depth.data[0, :, :, 0])
     _say(f"wrote {w}x{h} depth map to {args.output}")
     return 0
@@ -262,9 +250,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (FileFormatError, WeightFormatError) as exc:
-        _say(f"error: {exc}")
-        return 2
     except (ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return 2

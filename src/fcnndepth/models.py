@@ -33,6 +33,7 @@ from . import ops
 from .interleave import interleave4
 from .tensor import BatchNormParams, ConvKernel, Tensor4
 from .upconv import BRANCHES
+from .weights_io import WeightContainer
 
 ENCODERS = ("basic", "lite_basic")
 DECODERS = ("deconv", "upsampling_nonbt", "upconv_naive", "upconv_fast")
@@ -406,8 +407,6 @@ def random_weights(graph: LayerGraph, seed: int = 0, dtype=np.float32):
     graphs. Kernels are drawn in `dtype` (float32 or float64) and scaled in
     place, so no kernel is ever held at a wider precision.
     """
-    from .weights_io import WeightContainer
-
     rng = np.random.default_rng(seed)
     entries: dict[str, ConvKernel | BatchNormParams] = {}
     for layer in graph.layers:
@@ -436,28 +435,46 @@ def _kernel_shape(a: dict) -> tuple[int, int, int, int]:
     return (a["kh"], a["kw"], a["cin"], a["cout"])
 
 
-def _weight_entry(layer: Layer, weights) -> ConvKernel | BatchNormParams | None:
-    """The layer's weight entry, checked against the layer; None if it needs none."""
-    kind = OPS[layer.kind].weight
-    if kind is None:
-        return None
-    if layer.name not in weights:
-        raise ValueError("missing weight entry")
-    entry, expected = weights[layer.name], _WEIGHT_TYPES[kind]
-    if not isinstance(entry, expected):
-        raise ValueError(f"weight entry is {type(entry).__name__}, layer needs {expected.__name__}")
-    if isinstance(entry, ConvKernel) and entry.weights.shape != _kernel_shape(layer.attrs):
-        raise ValueError(f"kernel shape {entry.weights.shape} does not match layer "
-                         f"specification {_kernel_shape(layer.attrs)}")
-    return entry
+def _check_weights(graph: LayerGraph, weights) -> np.dtype | None:
+    """Check the entries the graph needs, in graph order, and return their one dtype.
+
+    Raises ValueError naming the layer of the first missing entry (with the
+    count), else of the first entry of the wrong type, shape, width or dtype.
+    """
+    needed = required_weights(graph)
+    missing = [name for name in needed if name not in weights]
+    if missing:
+        raise ValueError(f"layer {missing[0]!r}: missing weight entry "
+                         f"({len(missing)} missing in total)")
+    dtype = None
+    for layer in graph.layers:
+        if layer.name not in needed:
+            continue
+        entry, expected = weights[layer.name], _WEIGHT_TYPES[needed[layer.name]]
+        if not isinstance(entry, expected):
+            problem = f"weight entry is {type(entry).__name__}, layer needs {expected.__name__}"
+        elif expected is ConvKernel and entry.weights.shape != _kernel_shape(layer.attrs):
+            problem = (f"kernel shape {entry.weights.shape} does not match layer "
+                       f"specification {_kernel_shape(layer.attrs)}")
+        elif expected is BatchNormParams and entry.channels != layer.out_shape[3]:
+            problem = f"batch norm has {entry.channels} channels, layer needs {layer.out_shape[3]}"
+        else:
+            own = entry.weights.dtype if expected is ConvKernel else entry.mean.dtype
+            dtype = own if dtype is None else dtype
+            if own == dtype:
+                continue
+            problem = f"weights mix dtypes [{dtype}, {own}]"
+        raise ValueError(f"layer {layer.name!r}: {problem}")
+    return dtype
 
 
 def infer(graph: LayerGraph, weights, image: Tensor4) -> Tensor4:
     """Run the graph on an image batch and return the (N, H, W, 1) depth map.
 
-    Raises ValueError naming the offending layer on a missing/mismatched
-    weight entry or a mid-graph shape violation, including a layer whose
-    output shape differs from its build-time `out_shape`.
+    The weights (see _check_weights) and the image's pixels are checked before
+    the first layer runs, and the image is cast once to the weights' dtype,
+    in which the graph computes. A mid-graph shape violation, such as an
+    output shape other than the layer's `out_shape`, raises ValueError naming it.
     """
     spec = graph.spec
     if image.shape[1:] != (spec.input_h, spec.input_w, 3):
@@ -465,11 +482,16 @@ def infer(graph: LayerGraph, weights, image: Tensor4) -> Tensor4:
             f"image shape {image.shape} does not match expected "
             f"(N, {spec.input_h}, {spec.input_w}, 3)"
         )
+    dtype = _check_weights(graph, weights)
+    if dtype is not None and image.dtype != dtype:
+        image = image.astype(dtype)
+    if bad := np.count_nonzero(~np.isfinite(image.data)):
+        raise ValueError(f"image has {bad} non-finite values")
     last_use = {src: i for i, layer in enumerate(graph.layers) for src in layer.inputs}
     acts: dict[str, Tensor4] = {"image": image}
     for i, layer in enumerate(graph.layers):
+        weight = weights[layer.name] if OPS[layer.kind].weight else None
         try:
-            weight = _weight_entry(layer, weights)
             out = OPS[layer.kind].run(layer.attrs, [acts[s] for s in layer.inputs], weight)
         except ValueError as err:
             raise ValueError(f"layer {layer.name!r}: {err}") from None
@@ -483,8 +505,6 @@ def infer(graph: LayerGraph, weights, image: Tensor4) -> Tensor4:
             if last_use.get(src) == i and src != graph.output:
                 del acts[src]
     return acts[graph.output]
-
-
 
 
 def with_decoder(spec: ModelSpec, decoder: str) -> ModelSpec:

@@ -132,11 +132,13 @@ class BatchNormParams:
                 raise ValueError(f"{name} must be 1-D, got rank {arr.ndim}")
             if arr.shape != fields["mean"].shape:
                 raise ValueError("per-channel parameter lengths differ")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite values")
             object.__setattr__(self, name, arr)
         if np.any(self.variance < 0):
             raise ValueError("variance must be nonnegative")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
         object.__setattr__(self, "eps", float(self.eps))
 
     @property

@@ -21,13 +21,14 @@ mean, variance, gamma, beta, and the eps value replicated across the row.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .tensor import BatchNormParams, ConvKernel
+from .upconv import UpConvWeights, split_weights_5x5
 
 MAGIC = b"FCNW"
 VERSION = 1
@@ -57,12 +58,6 @@ class WeightContainer:
     def names(self) -> list[str]:
         return list(self.entries)
 
-    def missing_for(self, graph) -> list[str]:
-        """Names of graph layers whose weight entry is absent."""
-        from .models import required_weights
-
-        return [name for name in required_weights(graph) if name not in self.entries]
-
 
 def _record(name: str, kind: int, array: np.ndarray) -> tuple[bytes, np.ndarray]:
     """The header bytes of one record, and its array."""
@@ -87,13 +82,8 @@ def save_weights(container: WeightContainer, path) -> None:
             if entry.bias is not None:
                 records.append(_record(f"{name}.bias", _KIND_CONV, entry.bias))
         elif isinstance(entry, BatchNormParams):
-            c = entry.channels
-            block = np.empty((5, c), dtype=np.float32)
-            block[0] = entry.mean
-            block[1] = entry.variance
-            block[2] = entry.gamma
-            block[3] = entry.beta
-            block[4] = np.float32(entry.eps)
+            rows = (entry.mean, entry.variance, entry.gamma, entry.beta)
+            block = np.array([*rows, np.full(entry.channels, entry.eps)], dtype=np.float32)
             records.append(_record(name, _KIND_BATCHNORM, block))
         else:
             raise WeightFormatError(f"entry {name!r} has unsupported type {type(entry)}")
@@ -105,22 +95,31 @@ def save_weights(container: WeightContainer, path) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    """Reads an open file, checking each read against the file's size first."""
+
+    def __init__(self, f):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
         self.pos = 0
 
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.blob):
+    def _claim(self, count: int) -> None:
+        if self.pos + count > self.size:
             raise WeightFormatError(
                 f"truncated file: wanted {count} bytes at offset {self.pos}, "
-                f"only {len(self.blob) - self.pos} remain"
+                f"only {self.size - self.pos} remain"
             )
-        out = self.blob[self.pos : self.pos + count]
         self.pos += count
-        return out
 
-    def done(self) -> bool:
-        return self.pos >= len(self.blob)
+    def take(self, count: int) -> bytes:
+        self._claim(count)
+        return self.f.read(count)
+
+    def floats(self, dims: tuple[int, ...]) -> np.ndarray:
+        """The next prod(dims) little-endian float32 values, read straight into their array."""
+        self._claim(4 * math.prod(dims))
+        data = np.empty(dims, dtype="<f4")
+        self.f.readinto(data)
+        return data.astype(np.float32, copy=False)  # native byte order
 
 
 def _read_record(r: _Reader, entries: dict[str, ConvKernel | BatchNormParams]) -> None:
@@ -129,8 +128,7 @@ def _read_record(r: _Reader, entries: dict[str, ConvKernel | BatchNormParams]) -
     name = r.take(name_len).decode("utf-8")
     kind, rank = struct.unpack("<BB", r.take(2))
     dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-    data = np.frombuffer(r.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
-    data = data.astype(np.float32)  # native byte order, writable copy
+    data = r.floats(dims)
 
     if kind == _KIND_CONV and rank == 1 and name.endswith(".bias"):
         base = name[: -len(".bias")]
@@ -150,30 +148,27 @@ def _read_record(r: _Reader, entries: dict[str, ConvKernel | BatchNormParams]) -
             raise WeightFormatError(
                 f"batch-norm record {name!r} must have dims (5, c >= 1), got {dims}"
             )
-        entries[name] = BatchNormParams(
-            mean=data[0], variance=data[1], gamma=data[2], beta=data[3],
-            eps=float(data[4, 0]),
-        )
+        entries[name] = BatchNormParams(*data[:4], eps=float(data[4, 0]))
     else:
         raise WeightFormatError(f"unknown record kind {kind} for {name!r}")
 
 
 def load_weights(path) -> WeightContainer:
     """Parse a weight file; a malformed one raises WeightFormatError naming the offset."""
-    r = _Reader(Path(path).read_bytes())
-    if r.take(4) != MAGIC:
-        raise WeightFormatError(f"bad magic in {path}: not a weight container")
-    version = r.take(1)[0]
-    if version != VERSION:
-        raise WeightFormatError(f"unsupported container version {version}")
-
-    entries: dict[str, ConvKernel | BatchNormParams] = {}
-    while not r.done():
-        start = r.pos
-        try:
-            _read_record(r, entries)
-        except ValueError as err:  # also UnicodeDecodeError and the tensor types' checks
-            raise WeightFormatError(f"record at byte offset {start}: {err}") from err
+    with open(path, "rb") as f:
+        r = _Reader(f)
+        if r.take(4) != MAGIC:
+            raise WeightFormatError(f"bad magic in {path}: not a weight container")
+        version = r.take(1)[0]
+        if version != VERSION:
+            raise WeightFormatError(f"unsupported container version {version}")
+        entries: dict[str, ConvKernel | BatchNormParams] = {}
+        while r.pos < r.size:
+            start = r.pos
+            try:
+                _read_record(r, entries)
+            except ValueError as err:  # also UnicodeDecodeError and the tensor types' checks
+                raise WeightFormatError(f"record at byte offset {start}: {err}") from err
     return WeightContainer(entries)
 
 
@@ -186,8 +181,6 @@ def split_container(container: WeightContainer) -> WeightContainer:
     up-convolution kernels (already converted, or not an up-convolution
     model at all).
     """
-    from .upconv import UpConvWeights, split_weights_5x5
-
     out: dict[str, ConvKernel | BatchNormParams] = {}
     converted = 0
     for name, entry in container.entries.items():

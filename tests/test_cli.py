@@ -65,7 +65,8 @@ class TestInferCommand:
             "--input", str(workspace["image_path"]), "--output", str(tmp_path / "o.dpth"),
         ])
         assert code == 2
-        assert "dec.b2.up5x5" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: layer 'dec.b2.up5x5': missing weight entry (1 missing in total)\n")
 
     def test_missing_file_exits_2(self, workspace, tmp_path):
         code = main([

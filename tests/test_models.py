@@ -1,9 +1,13 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcnndepth import ops
 from fcnndepth.bench import graph_macs
 from fcnndepth.models import (
     EVALUATED_PRESETS,
@@ -19,7 +23,7 @@ from fcnndepth.models import (
     shape_trace,
     with_decoder,
 )
-from fcnndepth.tensor import Tensor4
+from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
 from fcnndepth.upconv import fast_block_macs, naive_block_macs
 from fcnndepth.weights_io import WeightContainer, split_container
 
@@ -128,8 +132,8 @@ class TestInfer:
         victim = "dec.b2.up5x5"
         assert victim in weights.entries
         del weights.entries[victim]
-        assert weights.missing_for(small_graph) == [victim]
-        with pytest.raises(ValueError, match=victim):
+        message = f"layer '{victim}': missing weight entry (1 missing in total)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             infer(small_graph, weights, rand_image(64, 64))
 
     def test_mismatched_kernel_names_layer(self, small_graph):
@@ -179,8 +183,117 @@ class TestInfer:
         for name in PRESETS:
             graph = build_model(preset(name, input_h=64, input_w=64, width_div=16))
             weights = random_weights(graph, seed=0)
-            assert weights.missing_for(graph) == []
-            assert set(required_weights(graph)) == set(weights.entries)
+            assert list(required_weights(graph)) == weights.names()
+
+
+@pytest.fixture(scope="module")
+def lite_fast():
+    graph = build_model(preset("lite-upconv-fast", input_h=64, input_w=64, width_div=8))
+    return graph, random_weights(graph, seed=21)
+
+
+def count_convs(monkeypatch) -> list:
+    """Patch ops.conv2d_padded (every conv and deconv goes through it) to log its calls."""
+    calls, real = [], ops.conv2d_padded
+    monkeypatch.setattr(ops, "conv2d_padded", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def bn_arrays(entry: BatchNormParams):
+    return entry.mean, entry.variance, entry.gamma, entry.beta
+
+
+def as_float64(entry):
+    if isinstance(entry, ConvKernel):
+        return ConvKernel(entry.weights.astype(np.float64))
+    return BatchNormParams(*(a.astype(np.float64) for a in bn_arrays(entry)), entry.eps)
+
+
+def widened(entry, axis=3):
+    """The entry with one more kernel row/column/channel along `axis`, or one more bn channel."""
+    if isinstance(entry, ConvKernel):
+        w = entry.weights
+        return ConvKernel(np.concatenate([w, w.take([0], axis=axis)], axis=axis))
+    return BatchNormParams(*(np.append(a, a[:1]) for a in bn_arrays(entry)), entry.eps)
+
+
+def signature(entry):
+    return type(entry), entry.weights.shape if isinstance(entry, ConvKernel) else entry.channels
+
+
+class TestWeightCheck:
+    """infer checks the whole container and the image before the first layer runs."""
+
+    @pytest.mark.parametrize("victim, corrupt, message", [
+        ("dec.b4.k22", None, "missing weight entry (1 missing in total)"),
+        ("dec.b4.bn", widened, "batch norm has 2 channels, layer needs 1"),
+        ("dec.b4.bn", as_float64, "weights mix dtypes [float32, float64]"),
+    ])
+    def test_bad_container_raises_before_any_conv(self, lite_fast, monkeypatch,
+                                                  victim, corrupt, message):
+        graph, good = lite_fast
+        entries = dict(good.entries)
+        if corrupt is None:
+            del entries[victim]
+        else:
+            entries[victim] = corrupt(entries[victim])
+        calls = count_convs(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(f"layer '{victim}': {message}")):
+            infer(graph, WeightContainer(entries), rand_image(64, 64))
+        assert calls == []
+        infer(graph, good, rand_image(64, 64))
+        assert len(calls) == sum(layer.kind == "conv" for layer in graph.layers)
+
+    def test_float64_image_computes_in_weights_dtype(self, lite_fast):
+        graph, weights = lite_fast
+        image = rand_image(64, 64, seed=22)
+        out32 = infer(graph, weights, image)
+        out64 = infer(graph, weights, image.astype(np.float64))
+        assert out32.dtype == out64.dtype == np.float32
+        assert np.array_equal(out64.data, out32.data)
+
+    def test_float64_weights_compute_in_float64(self, lite_fast):
+        graph, weights = lite_fast
+        weights64 = WeightContainer({k: as_float64(e) for k, e in weights.entries.items()})
+        image = rand_image(64, 64, seed=23)
+        out = infer(graph, weights64, image)
+        assert out.dtype == np.float64
+        assert np.array_equal(out.data, infer(graph, weights64, image.astype(np.float64)).data)
+
+    def test_non_finite_pixels_raise_before_any_conv(self, lite_fast, monkeypatch):
+        graph, weights = lite_fast
+        data = rand_image(64, 64).data.copy()
+        data[0, 5, 7, 1] = np.nan
+        data[0, 63, 0, 2] = -np.inf
+        calls = count_convs(monkeypatch)
+        with pytest.raises(ValueError, match="image has 2 non-finite values"):
+            infer(graph, weights, Tensor4(data))
+        assert calls == []
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_single_corruption_names_a_layer_before_any_conv(self, lite_fast, data):
+        graph, good = lite_fast
+        names = good.names()
+        victim = data.draw(st.sampled_from(names), label="victim")
+        how = data.draw(st.sampled_from(["drop", "swap", "reshape", "float64"]), label="how")
+        entries = dict(good.entries)
+        if how == "drop":
+            del entries[victim]
+        elif how == "swap":
+            donors = [n for n in names if signature(good[n]) != signature(good[victim])]
+            entries[victim] = good[data.draw(st.sampled_from(donors), label="donor")]
+        elif how == "reshape":
+            entries[victim] = widened(good[victim], data.draw(st.integers(0, 3), label="axis"))
+        else:
+            entries[victim] = as_float64(good[victim])
+        with pytest.MonkeyPatch.context() as mp:  # hypothesis rejects function-scoped fixtures
+            calls = count_convs(mp)
+            with pytest.raises(ValueError) as err:
+                infer(graph, WeightContainer(entries), rand_image(64, 64))
+        named = re.match(r"layer '([^']+)': ", str(err.value))
+        assert named and named.group(1) in names, str(err.value)
+        assert calls == []
 
 
 class TestNaiveFastEquivalence:

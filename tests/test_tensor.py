@@ -75,6 +75,20 @@ class TestBatchNormParams:
         with pytest.raises(ValueError, match="eps"):
             BatchNormParams(np.zeros(1), np.ones(1), np.ones(1), np.zeros(1), eps=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["mean", "variance", "gamma", "beta"])
+    def test_rejects_non_finite_values(self, field, value):
+        arrays = {"mean": np.zeros(2), "variance": np.ones(2),
+                  "gamma": np.ones(2), "beta": np.zeros(2)}
+        arrays[field][1] = value
+        with pytest.raises(ValueError, match=f"{field} has non-finite values"):
+            BatchNormParams(**arrays)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            BatchNormParams(np.zeros(1), np.ones(1), np.ones(1), np.zeros(1), eps=eps)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths"):
             BatchNormParams(np.zeros(2), np.ones(3), np.ones(2), np.zeros(2))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fcnndepth.models import build_model, preset, random_weights
+from fcnndepth.models import build_model, preset, random_weights, required_weights
 from fcnndepth.tensor import BatchNormParams, ConvKernel
 from fcnndepth.weights_io import (
     WeightContainer,
@@ -78,7 +78,7 @@ class TestRoundTrip:
         save_weights(weights, path)
         loaded = load_weights(path)
         assert_containers_equal(weights, loaded)
-        assert loaded.missing_for(graph) == []
+        assert list(required_weights(graph)) == loaded.names()
 
     def test_save_peak_memory_well_under_weight_bytes(self, tmp_path):
         # records go to the file one at a time, each array from its own buffer
@@ -95,6 +95,26 @@ class TestRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak < 0.6 * weight_bytes, (peak, weight_bytes)
+
+    def test_load_peak_memory_near_weight_bytes(self, tmp_path):
+        # each record's floats are read straight into their array
+        graph = build_model(preset("lite-upconv", input_h=240, input_w=320, width_div=4))
+        weights = random_weights(graph, seed=5)
+        weight_bytes = sum(
+            e.weights.nbytes if isinstance(e, ConvKernel) else 4 * e.mean.nbytes
+            for e in weights.entries.values()
+        )
+        path = tmp_path / "w.fcnw"
+        save_weights(weights, path)
+        del weights
+        tracemalloc.start()
+        try:
+            loaded = load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) > 0
+        assert peak < 1.3 * weight_bytes, (peak, weight_bytes)
 
     def test_unsavable_container_leaves_file_untouched(self, container, tmp_path):
         path = tmp_path / "w.fcnw"
@@ -172,6 +192,22 @@ class TestFormatErrors:
         blob[var0 : var0 + 4] = np.float32(-1.0).tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(WeightFormatError, match="offset 5: variance"):
+            load_weights(path)
+
+    def test_non_finite_batch_norm_names_record_offset(self, container, tmp_path):
+        head = WeightContainer({"head.conv": container["head.conv"]})
+        path = tmp_path / "w.fcnw"
+        save_weights(head, path)
+        offset = path.stat().st_size  # the bn record follows the kernel record
+        save_weights(WeightContainer({**head.entries, "bn": container["stem.bn"]}), path)
+        blob = bytearray(path.read_bytes())
+        # variance[1] follows the bn record's u16 length, "bn", kind, rank,
+        # dims (5, 8), the 8 means and variance[0]
+        pos = offset + 2 + 2 + 2 + 8 + 4 * 8 + 4
+        blob[pos : pos + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightFormatError,
+                           match=f"record at byte offset {offset}: variance has non-finite"):
             load_weights(path)
 
     def test_mutated_files_raise_only_format_errors(self, tmp_path):
