@@ -90,7 +90,7 @@ def write_depth_raster(path, depth: np.ndarray) -> None:
 
 
 def read_depth_raster(path) -> np.ndarray:
-    """Read a depth raster back into an (h, w) float32 array."""
+    """Read a depth raster back into an (h, w) float32 array; all values must be finite."""
     blob = Path(path).read_bytes()
     if len(blob) < 13:
         raise FileFormatError(f"{path}: too short for a depth raster header")
@@ -104,4 +104,10 @@ def read_depth_raster(path) -> np.ndarray:
         raise FileFormatError(
             f"{path}: size mismatch ({len(blob)} bytes, header implies {expected})"
         )
-    return np.frombuffer(blob[13:], dtype="<f4").reshape(h, w).astype(np.float32)
+    depth = np.frombuffer(blob[13:], dtype="<f4").reshape(h, w).astype(np.float32)
+    if not np.isfinite(depth).all():
+        row, col = np.argwhere(~np.isfinite(depth))[0]
+        raise FileFormatError(
+            f"{path}: non-finite value {depth[row, col]} at (row, col) = ({row}, {col})"
+        )
+    return depth

@@ -213,8 +213,9 @@ class Op:
 OPS: dict[str, Op] = {
     "conv": Op(_conv_shape, lambda a, xs, w: ops.conv2d_padded(xs[0], w, a["stride"], a["pads"]),
                "conv", _conv_macs),
-    # scatter form: each input pixel touches kh*kw*cout outputs, so stride**2
-    # fewer MACs than a conv with the same output shape
+    # each input pixel meets every kh*kw*cin*cout weight once, stride**2 fewer
+    # MACs than a conv with the same output shape; ops.deconv2d's phase
+    # convolutions execute exactly this many
     "deconv": Op(_deconv_shape, lambda a, xs, w: ops.deconv2d(xs[0], w, a["stride"]),
                  "conv", lambda layer: _conv_macs(layer) // layer.attrs["stride"] ** 2),
     "bn": Op(lambda shapes, a: shapes[0], lambda a, xs, w: ops.batchnorm_infer(xs[0], w),

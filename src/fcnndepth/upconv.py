@@ -7,15 +7,15 @@ convolves the un-upsampled input with each, and interleaves the four
 results, producing the same output with a quarter of the multiply
 accumulates.
 
-Parity split: only even/even positions of the zero-stuffed grid hold data.
-Through the 5x5 "same" convolution output row 2i + r reads up[2i + r + a - 2]
-with kernel row a; that holds data only when a = r + 2t, and is then input
-row i + r + t - 1. So the branch for output parity (r, c) convolves the
-un-upsampled input with K[r::2, c::2], a (3 - r) x (3 - c) sub-kernel, padded
-by (top, bottom, left, right) = (1 - r, 1, 1 - c, 1) so that it keeps the
-input size, and writes output pixels [r::2, c::2], interleave4's argument
-order. The branches k33, k32, k23 and k22 hold 9 + 6 + 6 + 4 = 25 taps.
-BRANCHES states this rule once for the split, the fast block and the builder.
+Parity split: the naive block is a 5x5 "same" correlation (leading pad 2)
+of the input zero-inserted by 2, so :func:`ops.phase_split` with lead 2
+splits it per axis. The branch for output parity (r, c) convolves the
+un-upsampled input with K[r::2, c::2], a (3 - r) x (3 - c) sub-kernel,
+padded by (top, bottom, left, right) = (1 - r, 1, 1 - c, 1) so that it keeps
+the input size, and writes output pixels [r::2, c::2], interleave4's
+argument order. The branches k33, k32, k23 and k22 hold 9 + 6 + 6 + 4 = 25
+taps. BRANCHES states this rule once for the split, the fast block and the
+builder.
 """
 from __future__ import annotations
 
@@ -27,11 +27,15 @@ from . import ops
 from .interleave import interleave4
 from .tensor import BatchNormParams, ConvKernel, Tensor4
 
+
+def _branch(r: int, c: int) -> tuple[str, tuple]:
+    # with lead 2 and stride 2 the first tap a0 of phase r is r itself
+    (_, th, rows), (_, tw, cols) = (ops.phase_split(5, 2, 2, p) for p in (r, c))
+    return f"k{th}{tw}", (r, c, (th, tw), rows + cols)
+
+
 # name -> (row parity r, column parity c, sub-kernel (kh, kw), pads)
-BRANCHES = {
-    f"k{3 - r}{3 - c}": (r, c, (3 - r, 3 - c), (1 - r, 1, 1 - c, 1))
-    for r in (0, 1) for c in (0, 1)
-}
+BRANCHES = dict(_branch(r, c) for r in (0, 1) for c in (0, 1))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written as plain scalar loops (or exact
 compensated sums), sharing no code path with the vectorized kernels under
-test.
+test. The one exception is `deconv2d_stuffed_ref`, the zero-stuffed form of
+``ops.deconv2d``: it runs through ``ops.conv2d_padded`` (itself checked
+against `conv2d_loop_ref`), so its float32 GEMMs round like the phase
+split's and the two can be compared bit for bit.
 """
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ import math
 
 import numpy as np
 
+from fcnndepth import ops
 from fcnndepth.tensor import ConvKernel, Tensor4
 
 
@@ -73,6 +77,31 @@ def deconv2d_scatter_ref(x: Tensor4, kernel: ConvKernel, stride: int) -> np.ndar
     if kernel.bias is not None:
         out = out + kernel.bias.astype(np.float64)
     return out
+
+
+def deconv2d_stuffed_ref(x: Tensor4, kernel: ConvKernel, stride: int) -> Tensor4:
+    """Transposed convolution as a stride-1 convolution of the zero-stuffed grid.
+
+    The input lands on every `stride`-th row and column of a zero grid, which
+    is convolved with the flipped kernel and padded so that the output is
+    exactly input * stride; it executes stride ** 2 times the MACs of
+    ``ops.deconv2d`` and rounds the same in float32 wherever its GEMMs do.
+    """
+    n, h, w, _ = x.shape
+    kh, kw = kernel.kh, kernel.kw
+    stuffed = np.zeros(
+        (n, (h - 1) * stride + 1, (w - 1) * stride + 1, x.c), dtype=x.dtype
+    )
+    stuffed[:, ::stride, ::stride] = x.data
+    ct = max(kh - stride, 0) // 2
+    cl = max(kw - stride, 0) // 2
+    flipped = ConvKernel(kernel.weights[::-1, ::-1], kernel.bias)
+    return ops.conv2d_padded(
+        Tensor4(stuffed),
+        flipped,
+        stride=1,
+        pads=(kh - 1 - ct, ct + stride - 1, kw - 1 - cl, cl + stride - 1),
+    )
 
 
 def metrics_scalar_ref(pred: np.ndarray, truth: np.ndarray) -> dict[str, float]:

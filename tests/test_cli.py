@@ -129,6 +129,20 @@ class TestEvalCommand:
         for key, value in expected.as_dict().items():
             assert doc[key] == value
 
+    def test_nan_prediction_exits_2_without_json(self, tmp_path, capsys):
+        gt = tmp_path / "gt"
+        generate_corpus(gt, 1, 5, 4, seed=0)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (name,) = [p.name for p in gt.glob("*.dpth")]
+        blob = bytearray((gt / name).read_bytes())
+        blob[13:17] = np.array(np.nan, dtype="<f4").tobytes()
+        (pred / name).write_bytes(bytes(blob))
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite value nan at (row, col) = (0, 0)" in captured.err
+
     def test_disjoint_sets_exit_2(self, tmp_path, capsys):
         gt = tmp_path / "gt"
         generate_corpus(gt, 2, 8, 8, seed=0)

@@ -78,6 +78,18 @@ class TestDepthRaster:
         with pytest.raises(FileFormatError, match="finite"):
             write_depth_raster(tmp_path / "d.dpth", np.array([[np.nan]], dtype=np.float32))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_read_rejected_with_position(self, tmp_path, bad):
+        path = tmp_path / "d.dpth"
+        write_depth_raster(path, np.ones((3, 4), dtype=np.float32))
+        blob = bytearray(path.read_bytes())
+        for row, col in ((2, 1), (1, 3)):  # row-major: (1, 3) comes first
+            offset = 13 + 4 * (row * 4 + col)
+            blob[offset:offset + 4] = np.array(bad, dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FileFormatError, match=r"non-finite .* \(row, col\) = \(1, 3\)"):
+            read_depth_raster(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "d.dpth"
         path.write_bytes(b"XXXX" + bytes(9))

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcnndepth import ops
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
-from helpers import conv2d_loop_ref, deconv2d_scatter_ref, same_pads_ref
+from helpers import conv2d_loop_ref, deconv2d_scatter_ref, deconv2d_stuffed_ref, same_pads_ref
 
 
 def rand_tensor(rng, shape, dtype=np.float32):
@@ -82,6 +84,22 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * x.data.nbytes
+
+    def test_unpadded_conv_copies_no_input(self):
+        # a 1x1 projection with zero pads runs on the input array itself;
+        # a padded copy alone would be the input's bytes, 8x the output's
+        rng = np.random.default_rng(16)
+        x = rand_tensor(rng, (1, 40, 50, 64))
+        k = rand_kernel(rng, 1, 1, 64, 8)
+        tracemalloc.start()
+        try:
+            out = ops.conv2d_padded(x, k, 1, (0, 0, 0, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * x.data.nbytes
+        flat = x.data.reshape(-1, 64) @ k.weights[0, 0] + k.bias
+        assert np.array_equal(out.data, flat.reshape(out.shape))
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
@@ -170,6 +188,102 @@ class TestDeconv2d:
         k = ConvKernel(np.zeros((5, 5, 3, 1), dtype=np.float32))
         with pytest.raises(ValueError, match="channels"):
             ops.deconv2d(x, k)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        n=st.integers(1, 2), h=st.integers(1, 5), w=st.integers(1, 5),
+        cin=st.integers(1, 3), cout=st.integers(1, 3),
+        kh=st.integers(1, 6), kw=st.integers(1, 6), stride=st.integers(1, 3),
+        bias=st.booleans(), seed=st.integers(0, 2**16),
+    )
+    def test_phase_split_matches_scatter_float64(
+        self, n, h, w, cin, cout, kh, kw, stride, bias, seed
+    ):
+        # covers 1-pixel and odd inputs and k < stride, where some output
+        # phases read no tap and hold the bias alone
+        rng = np.random.default_rng(seed)
+        x = rand_tensor(rng, (n, h, w, cin), np.float64)
+        k = rand_kernel(rng, kh, kw, cin, cout, bias=bias, dtype=np.float64)
+        out = ops.deconv2d(x, k, stride=stride)
+        ref = deconv2d_scatter_ref(x, k, stride)
+        assert out.dtype == np.float64
+        assert out.shape == ref.shape == (n, h * stride, w * stride, cout)
+        assert np.max(np.abs(out.data - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("shape, cout", [
+        ((1, 8, 10, 256), 128), ((1, 15, 20, 128), 64), ((1, 30, 40, 64), 32),
+        ((1, 60, 80, 32), 16), ((1, 120, 160, 16), 1),
+    ])
+    def test_matches_zero_stuffed_form_on_decoder_shapes(self, shape, cout):
+        # the five deconv layers of basic-deconv at 240x320, width /8: the
+        # phase split sums the same nonzero products in the same tap order
+        rng = np.random.default_rng(17)
+        x = rand_tensor(rng, shape)
+        k = rand_kernel(rng, 5, 5, shape[3], cout)
+        out = ops.deconv2d(x, k, stride=2).data
+        ref = deconv2d_stuffed_ref(x, k, 2).data
+        if cout > 1:
+            assert np.array_equal(out, ref)
+        else:  # single-output GEMMs round differently per row count
+            assert np.max(np.abs(out - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape, cout", [((1, 60, 80, 32), 16), ((1, 30, 40, 256), 128)])
+    def test_memory_stays_near_output_size(self, shape, cout):
+        # no zero-stuffed grid and no kernel copy: the zero-stuffed form
+        # peaked at 6.2x and 7.7x the output's bytes on these shapes
+        rng = np.random.default_rng(18)
+        x = rand_tensor(rng, shape)
+        k = rand_kernel(rng, 5, 5, shape[3], cout)
+        tracemalloc.start()
+        try:
+            out = ops.deconv2d(x, k, stride=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.data.nbytes
+
+
+class TestPhaseSplit:
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("stride", range(1, 5))
+    def test_phases_partition_the_taps(self, k, stride):
+        lead = k - 1 - max(k - stride, 0) // 2
+        used = []
+        for phase in range(stride):
+            a0, taps, (pad, trail) = ops.phase_split(k, stride, lead, phase)
+            used += range(a0, k, stride)
+            assert taps == len(range(a0, k, stride))
+            if taps:
+                assert pad >= 0 and trail >= 0 and pad + trail == taps - 1
+        assert sorted(used) == list(range(k))
+
+    def test_deconv_5x5_stride2_phases(self):
+        # Kf[1 - r::2] with pads (1, r)
+        assert [ops.phase_split(5, 2, 3, r) for r in (0, 1)] == [(1, 2, (1, 0)), (0, 3, (1, 1))]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("stride", range(1, 4))
+    def test_matches_zero_inserted_correlation(self, k, stride):
+        # one axis, one-hot taps: phase `phase` of the correlation of the
+        # zero-inserted signal equals the split's correlation of the signal
+        x = np.random.default_rng(19).standard_normal(7)
+        for lead in range(k):
+            for tap in range(k):
+                kern = np.zeros(k)
+                kern[tap] = 1.0
+                up = np.zeros(len(x) * stride)
+                up[::stride] = x
+                grid = np.concatenate([np.zeros(lead), up, np.zeros(k)])
+                full = np.array([grid[o:o + k] @ kern for o in range(len(up))])
+                for phase in range(stride):
+                    a0, taps, (pad, trail) = ops.phase_split(k, stride, lead, phase)
+                    if phase > lead:
+                        continue  # a crop, not a pad; see phase_split
+                    assert pad >= 0 and trail >= 0
+                    sub = kern[a0::stride]
+                    src = np.concatenate([np.zeros(pad), x, np.zeros(trail)])
+                    got = np.array([src[m:m + taps] @ sub for m in range(len(x))])
+                    assert np.array_equal(got, full[phase::stride]), (lead, tap, phase)
 
 
 class TestRelu:

@@ -78,6 +78,20 @@ class TestSplitWeights:
         with pytest.raises(ValueError, match="k55"):
             SplitUpConvWeights(extra, identity_bn(1))
 
+    def test_table_derived_from_phase_rule_is_the_literal_table(self):
+        # the table as written out before it was derived from ops.phase_split
+        # (the names are also the FCNW entry suffixes of the fast presets)
+        assert BRANCHES == {
+            "k33": (0, 0, (3, 3), (1, 1, 1, 1)),
+            "k32": (0, 1, (3, 2), (1, 1, 0, 1)),
+            "k23": (1, 0, (2, 3), (0, 1, 1, 1)),
+            "k22": (1, 1, (2, 2), (0, 1, 0, 1)),
+        }
+        assert list(BRANCHES) == ["k33", "k32", "k23", "k22"]
+        for r, c, _, _ in BRANCHES.values():
+            assert ops.phase_split(5, 2, 2, r)[0] == r  # first tap: K[r::2]
+            assert ops.phase_split(5, 2, 2, c)[0] == c
+
     def test_table_reproduces_one_hot_slices(self):
         # for every one-hot 5x5 kernel, branch (r, c) alone (its slice of the
         # kernel, which must have the table's size, convolved with the
