@@ -16,9 +16,9 @@ from .models import (
     PRESETS,
     LayerGraph,
     ModelSpec,
+    block_graph,
     build_model,
     infer,
-    is_evaluated_combination,
     preset,
     random_weights,
     required_weights,
@@ -28,7 +28,6 @@ from .models import (
 from .ops import (
     add,
     batchnorm_infer,
-    conv2d,
     conv2d_padded,
     deconv2d,
     maxpool2,
@@ -38,8 +37,6 @@ from .ops import (
 )
 from .tensor import BatchNormParams, ConvKernel, Tensor4
 from .upconv import (
-    SplitUpConvWeights,
-    UpConvWeights,
     fast_block_macs,
     naive_block_macs,
     split_weights_5x5,
@@ -66,25 +63,22 @@ __all__ = [
     "ModelSpec",
     "EVALUATED_PRESETS",
     "PRESETS",
-    "SplitUpConvWeights",
     "Tensor4",
-    "UpConvWeights",
     "WeightContainer",
     "WeightFormatError",
     "aberhu_step",
     "add",
     "batchnorm_infer",
     "berhu_loss",
+    "block_graph",
     "build_model",
     "compute_metrics",
-    "conv2d",
     "conv2d_padded",
     "deconv2d",
     "fast_block_macs",
     "infer",
     "interleave4",
     "interleave4_reference",
-    "is_evaluated_combination",
     "load_weights",
     "maxpool2",
     "mse_rel_loss",

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import upconv
-from .models import OPS, LayerGraph, ModelSpec, build_model, infer, random_weights
+from .models import ModelSpec, build_model, graph_macs, infer, random_weights
 from .tensor import Tensor4
 
 MIN_ITERS = 10
@@ -87,11 +87,6 @@ def environment() -> dict:
     }
 
 
-def graph_macs(graph: LayerGraph) -> int:
-    """Multiply-accumulates of one image through the graph; only conv/deconv count."""
-    return sum(OPS[layer.kind].macs(layer) for layer in graph.layers)
-
-
 def bench_model(
     spec: ModelSpec, name: str, iters: int, warmup: int = DEFAULT_WARMUP, seed: int = 0
 ) -> TargetReport:
@@ -115,7 +110,11 @@ def bench_block(
     kind: str, h: int, w: int, cin: int, cout: int,
     iters: int, warmup: int = DEFAULT_WARMUP, seed: int = 0,
 ) -> TargetReport:
-    """Time one up-convolution block on an (1, h, w, cin) input."""
+    """Time one up-convolution block on an (1, h, w, cin) input.
+
+    The block is the builder's own (models.block_graph) run by infer, so its
+    time is that of the layers the presets run.
+    """
     if kind not in BLOCK_KINDS:
         raise ValueError(f"unknown block {kind!r}; expected one of {BLOCK_KINDS}")
     rng = np.random.default_rng(seed)

@@ -39,7 +39,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read a binary P6 pixmap into an (h, w, 3) uint8 array."""
+    """Read a binary P6 pixmap into a non-empty (h, w, 3) uint8 array."""
     blob = Path(path).read_bytes()
     if not blob.startswith(b"P6"):
         raise FileFormatError(f"{path}: not a binary P6 pixmap")
@@ -61,6 +61,8 @@ def read_ppm(path) -> np.ndarray:
         fields.append(int(token))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
+    if w == 0 or h == 0:
+        raise FileFormatError(f"{path}: empty image, header says {w}x{h} pixels")
     if maxval != 255:
         raise FileFormatError(f"{path}: only maxval 255 supported, got {maxval}")
     expected = w * h * 3
@@ -90,7 +92,7 @@ def write_depth_raster(path, depth: np.ndarray) -> None:
 
 
 def read_depth_raster(path) -> np.ndarray:
-    """Read a depth raster back into an (h, w) float32 array; all values must be finite."""
+    """Read a depth raster back into a non-empty (h, w) float32 array; all values must be finite."""
     blob = Path(path).read_bytes()
     if len(blob) < 13:
         raise FileFormatError(f"{path}: too short for a depth raster header")
@@ -99,6 +101,8 @@ def read_depth_raster(path) -> np.ndarray:
     if blob[4] != DEPTH_VERSION:
         raise FileFormatError(f"{path}: unsupported version {blob[4]}")
     w, h = struct.unpack("<II", blob[5:13])
+    if w == 0 or h == 0:
+        raise FileFormatError(f"{path}: empty raster, header says {w}x{h} values")
     expected = 13 + 4 * w * h
     if len(blob) != expected:
         raise FileFormatError(

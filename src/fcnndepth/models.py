@@ -10,8 +10,11 @@ interleave.
 
 Each layer kind is defined once, as a row of the OPS table: its shape rule
 (used by the builder), run function (infer), weight kind (required_weights,
-random_weights, infer) and multiply-accumulate count (bench.graph_macs).
-Convolutions carry explicit (top, bottom, left, right) padding.
+random_weights, infer) and multiply-accumulate count (graph_macs).
+Convolutions carry explicit (top, bottom, left, right) padding. Each decoder
+block is defined once too, in _decoder_block: build_model stacks it, and
+block_graph emits one on its own, the graph behind the up-convolution block
+API and its naive/fast check.
 
 Encoders are residual bottleneck stacks (7x7/2 stem + 2x2 max pool, then
 stacks of 1x1-3x3-1x1 blocks with expansion 4). The full encoder has four
@@ -32,7 +35,6 @@ import numpy as np
 from . import ops
 from .interleave import interleave4
 from .tensor import BatchNormParams, ConvKernel, Tensor4
-from .upconv import BRANCHES
 from .weights_io import WeightContainer
 
 ENCODERS = ("basic", "lite_basic")
@@ -104,14 +106,6 @@ def preset(name: str, *, input_h: int = 480, input_w: int = 640, width_div: int 
     return ModelSpec(encoder, decoder, skips, input_h, input_w, width_div)
 
 
-def is_evaluated_combination(spec: ModelSpec) -> bool:
-    """True if the (encoder, decoder family, skips) triple is one of the six evaluated ones."""
-    decoder = "upconv_naive" if spec.decoder == "upconv_fast" else spec.decoder
-    return any(
-        PRESETS[name] == (spec.encoder, decoder, spec.skips) for name in EVALUATED_PRESETS
-    )
-
-
 @dataclass(frozen=True)
 class Layer:
     """One primitive step of a LayerGraph."""
@@ -125,9 +119,9 @@ class Layer:
 
 @dataclass(frozen=True)
 class LayerGraph:
-    """Ordered, shape-annotated layer list compiled from a ModelSpec."""
+    """Ordered, shape-annotated layer list; its one input is named "image"."""
 
-    spec: ModelSpec
+    input_shape: tuple[int, int, int, int]
     layers: tuple[Layer, ...]
     output: str
     bottleneck: str
@@ -234,12 +228,10 @@ OPS: dict[str, Op] = {
 class _Builder:
     """Accumulates layers while tracking output shapes and name uniqueness."""
 
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
+    def __init__(self, input_shape: tuple[int, int, int, int]):
+        self.input_shape = input_shape
         self.layers: list[Layer] = []
-        self.shapes: dict[str, tuple[int, int, int, int]] = {
-            "image": (1, spec.input_h, spec.input_w, 3)
-        }
+        self.shapes: dict[str, tuple[int, int, int, int]] = {"image": input_shape}
 
     def shape(self, name: str) -> tuple[int, int, int, int]:
         return self.shapes[name]
@@ -309,9 +301,33 @@ def _merge_skip(b: _Builder, tag: str, src: str, target: str) -> str:
     return b.add("add", f"skip.{tag}.add", (target, x))
 
 
+def _decoder_block(b: _Builder, decoder: str, prefix: str, x: str, cout: int) -> str:
+    """One 2x decoder block of the given kind on `x`, with `cout` output channels."""
+    if decoder == "upsampling_nonbt":
+        x = b.add("nearest_up2", f"{prefix}.up", (x,))
+        x = _conv(b, f"{prefix}.conv31", x, 3, 1, cout)
+        x = b.add("relu", f"{prefix}.relu31", (x,))
+        x = _conv(b, f"{prefix}.conv13", x, 1, 3, cout)
+        return b.add("relu", f"{prefix}.relu13", (x,))
+    if decoder == "deconv":
+        x = b.add("deconv", f"{prefix}.deconv", (x,),
+                  kh=5, kw=5, cin=b.shape(x)[3], cout=cout, stride=2)
+    elif decoder == "upconv_naive":
+        x = b.add("unpool_zero2", f"{prefix}.unpool", (x,))
+        x = _conv(b, f"{prefix}.up5x5", x, 5, 5, cout)
+    else:  # upconv_fast
+        branches = tuple(
+            _conv(b, f"{prefix}.{k}", x, kh, kw, cout, pads=pads)
+            for k, (_, _, (kh, kw), pads) in ops.BRANCHES.items()
+        )
+        x = b.add("interleave4", f"{prefix}.ilv", branches)
+    x = b.add("bn", f"{prefix}.bn", (x,))
+    return b.add("relu", f"{prefix}.relu", (x,))
+
+
 def build_model(spec: ModelSpec) -> LayerGraph:
     """Compile a ModelSpec into an executable, shape-annotated LayerGraph."""
-    b = _Builder(spec)
+    b = _Builder((1, spec.input_h, spec.input_w, 3))
     div = spec.width_div
 
     x = _conv(b, "enc.stem.conv", "image", 7, 7, STEM_WIDTH // div, stride=2)
@@ -358,30 +374,7 @@ def build_model(spec: ModelSpec) -> LayerGraph:
 
     for j, cout in enumerate(chans, start=1):
         p = f"dec.b{j}"
-        if spec.decoder == "deconv":
-            x = b.add("deconv", f"{p}.deconv", (x,),
-                      kh=5, kw=5, cin=b.shape(x)[3], cout=cout, stride=2)
-            x = b.add("bn", f"{p}.bn", (x,))
-            x = b.add("relu", f"{p}.relu", (x,))
-        elif spec.decoder == "upsampling_nonbt":
-            x = b.add("nearest_up2", f"{p}.up", (x,))
-            x = _conv(b, f"{p}.conv31", x, 3, 1, cout)
-            x = b.add("relu", f"{p}.relu31", (x,))
-            x = _conv(b, f"{p}.conv13", x, 1, 3, cout)
-            x = b.add("relu", f"{p}.relu13", (x,))
-        elif spec.decoder == "upconv_naive":
-            x = b.add("unpool_zero2", f"{p}.unpool", (x,))
-            x = _conv(b, f"{p}.up5x5", x, 5, 5, cout)
-            x = b.add("bn", f"{p}.bn", (x,))
-            x = b.add("relu", f"{p}.relu", (x,))
-        else:  # upconv_fast
-            branches = tuple(
-                _conv(b, f"{p}.{k}", x, kh, kw, cout, pads=pads)
-                for k, (_, _, (kh, kw), pads) in BRANCHES.items()
-            )
-            x = b.add("interleave4", f"{p}.ilv", branches)
-            x = b.add("bn", f"{p}.bn", (x,))
-            x = b.add("relu", f"{p}.relu", (x,))
+        x = _decoder_block(b, spec.decoder, p, x, cout)
         th, tw = targets[j - 1]
         if b.shape(x)[1:3] != (th, tw):
             x = b.add("crop", f"{p}.crop", (x,), target_h=th, target_w=tw)
@@ -391,7 +384,25 @@ def build_model(spec: ModelSpec) -> LayerGraph:
     if spec.decoder == "upsampling_nonbt":
         x = _conv(b, "dec.final.conv", x, 5, 5, 1)
 
-    return LayerGraph(spec, tuple(b.layers), output=x, bottleneck=bottleneck)
+    return LayerGraph(b.input_shape, tuple(b.layers), output=x, bottleneck=bottleneck)
+
+
+def block_graph(decoder: str, h: int, w: int, cin: int, cout: int) -> LayerGraph:
+    """One decoder block on a (1, h, w, cin) input, named "dec.b1.*" as in a preset.
+
+    The block is build_model's own (see _decoder_block); the input layer
+    "image" doubles as the graph's bottleneck.
+    """
+    if decoder not in DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}; expected one of {DECODERS}")
+    b = _Builder((1, h, w, cin))
+    x = _decoder_block(b, decoder, "dec.b1", "image", cout)
+    return LayerGraph(b.input_shape, tuple(b.layers), output=x, bottleneck="image")
+
+
+def graph_macs(graph: LayerGraph) -> int:
+    """Multiply-accumulates of one image through the graph; only conv/deconv count."""
+    return sum(OPS[layer.kind].macs(layer) for layer in graph.layers)
 
 
 def required_weights(graph: LayerGraph) -> dict[str, str]:
@@ -470,19 +481,16 @@ def _check_weights(graph: LayerGraph, weights) -> np.dtype | None:
 
 
 def infer(graph: LayerGraph, weights, image: Tensor4) -> Tensor4:
-    """Run the graph on an image batch and return the (N, H, W, 1) depth map.
+    """Run the graph on an image batch; a preset's output is the (N, H, W, 1) depth map.
 
     The weights (see _check_weights) and the image's pixels are checked before
     the first layer runs, and the image is cast once to the weights' dtype,
     in which the graph computes. A mid-graph shape violation, such as an
     output shape other than the layer's `out_shape`, raises ValueError naming it.
     """
-    spec = graph.spec
-    if image.shape[1:] != (spec.input_h, spec.input_w, 3):
-        raise ValueError(
-            f"image shape {image.shape} does not match expected "
-            f"(N, {spec.input_h}, {spec.input_w}, 3)"
-        )
+    _, h, w, c = graph.input_shape
+    if image.shape[1:] != (h, w, c):
+        raise ValueError(f"image shape {image.shape} does not match expected (N, {h}, {w}, {c})")
     dtype = _check_weights(graph, weights)
     if dtype is not None and image.dtype != dtype:
         image = image.astype(dtype)

@@ -27,9 +27,9 @@ def conv2d_padded(
 ) -> Tensor4:
     """Strided cross-correlation with explicit (top, bottom, left, right) zero padding.
 
-    This is the primitive that both padding modes of :func:`conv2d` reduce
-    to; the interleaved up-convolution branches call it directly because
-    their padding is asymmetric.
+    Every graph convolution runs here: "same" padding is :func:`same_pads`
+    per axis, and the interleaved up-convolution branches pass the
+    asymmetric pads of :data:`BRANCHES`.
 
     Stride 1 accumulates one GEMM per kernel tap ("kn2row") and never
     copies an im2col matrix. The padded batch is one flat
@@ -131,28 +131,32 @@ def phase_split(k: int, stride: int, lead: int, phase: int) -> tuple[int, int, t
     return a0, taps, (pad, taps - 1 - pad)
 
 
+def _branch(r: int, c: int) -> tuple[str, tuple]:
+    # with lead 2 and stride 2 the first tap a0 of phase r is r itself
+    (_, th, rows), (_, tw, cols) = (phase_split(5, 2, 2, p) for p in (r, c))
+    return f"k{th}{tw}", (r, c, (th, tw), rows + cols)
+
+
+# The up-convolution parity split. The naive block is a 5x5 "same"
+# correlation (leading pad 2) of the input zero-inserted by 2, so
+# phase_split with lead 2 splits it per axis. The branch for output parity
+# (r, c) convolves the un-upsampled input with K[r::2, c::2], a
+# (3 - r) x (3 - c) sub-kernel, padded by (top, bottom, left, right) =
+# (1 - r, 1, 1 - c, 1) so that it keeps the input size, and writes output
+# pixels [r::2, c::2], interleave4's argument order. The branches k33, k32,
+# k23 and k22 hold 9 + 6 + 6 + 4 = 25 taps; the names are also the FCNW
+# entry suffixes of the fast presets. The weight split and the builder's
+# fast block both read this table.
+# name -> (row parity r, column parity c, sub-kernel (kh, kw), pads)
+BRANCHES = dict(_branch(r, c) for r in (0, 1) for c in (0, 1))
+
+
 def same_pads(size: int, k: int, stride: int) -> tuple[int, int]:
     """Per-axis "same" padding: output = ceil(size / stride), extra pad trailing."""
     out = -(-size // stride)
     total = max((out - 1) * stride + k - size, 0)
     lead = total // 2
     return lead, total - lead
-
-
-def conv2d(x: Tensor4, kernel: ConvKernel, stride: int = 1, padding: str = "same") -> Tensor4:
-    """2-D convolution over an NHWC tensor.
-
-    "same" keeps output h, w = ceil(input / stride); "valid" uses no padding
-    and yields floor((input - k) / stride) + 1, raising if that would be
-    empty.
-    """
-    if padding == "same":
-        pt, pb = same_pads(x.h, kernel.kh, stride)
-        pl, pr = same_pads(x.w, kernel.kw, stride)
-        return conv2d_padded(x, kernel, stride, (pt, pb, pl, pr))
-    if padding == "valid":
-        return conv2d_padded(x, kernel, stride, (0, 0, 0, 0))
-    raise ValueError(f"unknown padding mode {padding!r}")
 
 
 def deconv2d(x: Tensor4, kernel: ConvKernel, stride: int = 2) -> Tensor4:

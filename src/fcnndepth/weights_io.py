@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ops import BRANCHES
 from .tensor import BatchNormParams, ConvKernel
-from .upconv import UpConvWeights, split_weights_5x5
 
 MAGIC = b"FCNW"
 VERSION = 1
@@ -175,11 +175,14 @@ def load_weights(path) -> WeightContainer:
 def split_container(container: WeightContainer) -> WeightContainer:
     """Convert a naive up-convolution container to its fast-path equivalent.
 
-    Every "<block>.up5x5" kernel is split into the four parity sub-kernels
-    "<block>.k33" / ".k32" / ".k23" / ".k22"; all other entries pass
-    through unchanged. Raises if the container holds no naive
-    up-convolution kernels (already converted, or not an up-convolution
-    model at all).
+    Every "<block>.up5x5" kernel K is split into the four parity
+    sub-kernels "<block>.k33" / ".k32" / ".k23" / ".k22", K[r::2, c::2]
+    for each ops.BRANCHES entry (r, c); all other entries pass through
+    unchanged. The 25 taps per (cin, cout) pair are rearranged, never
+    altered, and the kernel's bias, if any, goes to every sub-kernel, since
+    each output pixel comes from exactly one branch. Raises if the
+    container holds no naive up-convolution kernels (already converted, or
+    not an up-convolution model at all).
     """
     out: dict[str, ConvKernel | BatchNormParams] = {}
     converted = 0
@@ -190,12 +193,10 @@ def split_container(container: WeightContainer) -> WeightContainer:
                     f"entry {name!r} is {entry.kh}x{entry.kw}, expected 5x5"
                 )
             base = name[: -len(".up5x5")]
-            bn = container.entries.get(f"{base}.bn")
-            if not isinstance(bn, BatchNormParams):
+            if not isinstance(container.entries.get(f"{base}.bn"), BatchNormParams):
                 raise WeightFormatError(f"no batch-norm entry found for {name!r}")
-            split = split_weights_5x5(UpConvWeights(entry, bn))
-            for key, kernel in split.kernels.items():
-                out[f"{base}.{key}"] = kernel
+            for key, (r, c, _, _) in BRANCHES.items():
+                out[f"{base}.{key}"] = ConvKernel(entry.weights[r::2, c::2], entry.bias)
             converted += 1
         else:
             out[name] = entry

@@ -5,7 +5,8 @@ compensated sums), sharing no code path with the vectorized kernels under
 test. The one exception is `deconv2d_stuffed_ref`, the zero-stuffed form of
 ``ops.deconv2d``: it runs through ``ops.conv2d_padded`` (itself checked
 against `conv2d_loop_ref`), so its float32 GEMMs round like the phase
-split's and the two can be compared bit for bit.
+split's and the two can be compared bit for bit. `mutations` generates the
+damaged files that the file-format tests feed to their readers.
 """
 from __future__ import annotations
 
@@ -154,3 +155,18 @@ def random_depth_pair(rng: np.random.Generator, shape=(1, 3, 4, 1), invalid_frac
         drop = rng.random(shape) < invalid_frac
         truth = np.where(drop, 0.0, truth)
     return pred, truth
+
+
+def mutations(good: bytes, count: int = 3000):
+    """Seeded truncations, 1-8 byte overwrites and random tails of `good`, with their seeds."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        blob = bytearray(good)
+        if seed % 3 == 0:
+            blob = blob[: int(rng.integers(0, len(blob)))]
+        elif seed % 3 == 1:
+            for pos in rng.integers(0, len(blob), int(rng.integers(1, 9))):
+                blob[pos] = int(rng.integers(0, 256))
+        else:
+            blob += rng.bytes(int(rng.integers(1, 64)))
+        yield seed, bytes(blob)

@@ -143,6 +143,18 @@ class TestEvalCommand:
         assert captured.out == ""
         assert "non-finite value nan at (row, col) = (0, 0)" in captured.err
 
+    def test_zero_size_raster_exits_2_naming_file(self, tmp_path, capsys):
+        gt = tmp_path / "gt"
+        generate_corpus(gt, 1, 5, 4, seed=0)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (name,) = [p.name for p in gt.glob("*.dpth")]
+        (pred / name).write_bytes(b"DPTH\x01" + (0).to_bytes(4, "little") + (3).to_bytes(4, "little"))
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name}: empty raster, header says 0x3 values" in captured.err
+
     def test_disjoint_sets_exit_2(self, tmp_path, capsys):
         gt = tmp_path / "gt"
         generate_corpus(gt, 2, 8, 8, seed=0)

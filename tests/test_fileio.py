@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fcnndepth.fileio import (
     write_depth_raster,
     write_ppm,
 )
+from helpers import mutations
 
 
 class TestPpm:
@@ -47,6 +50,15 @@ class TestPpm:
         path = tmp_path / "img.ppm"
         path.write_bytes(b"P6\n1 1\n65535\n\x00\x00\x00")
         with pytest.raises(FileFormatError, match="maxval"):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("size", [b"0 5", b"4 0", b"0 0"])
+    def test_zero_size_rejected_naming_file(self, tmp_path, size):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n" + size + b"\n255\n")
+        w, h = size.split()
+        with pytest.raises(FileFormatError,
+                           match=f"{path.name}: empty image, header says {w.decode()}x{h.decode()}"):
             read_ppm(path)
 
     def test_image_to_tensor_scaling(self):
@@ -90,6 +102,13 @@ class TestDepthRaster:
         with pytest.raises(FileFormatError, match=r"non-finite .* \(row, col\) = \(1, 3\)"):
             read_depth_raster(path)
 
+    @pytest.mark.parametrize("w, h", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_size_rejected_naming_file(self, tmp_path, w, h):
+        path = tmp_path / "d.dpth"
+        path.write_bytes(b"DPTH\x01" + struct.pack("<II", w, h))
+        with pytest.raises(FileFormatError, match=f"{path.name}: empty raster, header says {w}x{h}"):
+            read_depth_raster(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "d.dpth"
         path.write_bytes(b"XXXX" + bytes(9))
@@ -103,3 +122,29 @@ class TestDepthRaster:
         path.write_bytes(blob[:-4])
         with pytest.raises(FileFormatError, match="size"):
             read_depth_raster(path)
+
+
+@pytest.mark.parametrize("reader", ["ppm", "dpth"])
+def test_mutated_files_raise_only_format_errors(tmp_path, reader):
+    # each mutated file either reads as a non-empty array or raises
+    # FileFormatError; any other outcome is the failure under test
+    path = tmp_path / f"f.{reader}"
+    rng = np.random.default_rng(11)
+    if reader == "ppm":
+        write_ppm(path, rng.integers(0, 256, (5, 7, 3), dtype=np.uint8))
+        read = read_ppm
+    else:
+        write_depth_raster(path, rng.uniform(0.5, 9.0, (4, 6)).astype(np.float32))
+        read = read_depth_raster
+    good = path.read_bytes()
+    escaped = []
+    for seed, blob in mutations(good):
+        path.write_bytes(blob)
+        try:
+            if read(path).size == 0:
+                escaped.append((seed, "empty array"))
+        except FileFormatError:
+            pass
+        except Exception as err:
+            escaped.append((seed, repr(err)))
+    assert escaped == []

@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcnndepth import ops
-from fcnndepth.bench import graph_macs
 from fcnndepth.models import (
+    DECODERS,
     EVALUATED_PRESETS,
     OPS,
     PRESETS,
     ModelSpec,
+    block_graph,
     build_model,
+    graph_macs,
     infer,
-    is_evaluated_combination,
     preset,
     random_weights,
     required_weights,
@@ -49,12 +50,6 @@ class TestModelSpec:
     def test_rejects_bad_width_div(self):
         with pytest.raises(ValueError, match="width_div"):
             ModelSpec("basic", "deconv", "none", width_div=7)
-
-    def test_evaluated_combinations_flagged(self):
-        for name in EVALUATED_PRESETS:
-            assert is_evaluated_combination(preset(name))
-        assert is_evaluated_combination(preset("lite-upconv-fast"))
-        assert not is_evaluated_combination(ModelSpec("lite_basic", "deconv", "full"))
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="preset"):
@@ -307,6 +302,36 @@ class TestNaiveFastEquivalence:
         out_naive = infer(g_naive, weights, image)
         out_fast = infer(g_fast, split_container(weights), image)
         assert np.max(np.abs(out_naive.data - out_fast.data)) <= 1e-4
+
+
+class TestBlockGraph:
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_is_the_presets_first_decoder_block(self, decoder):
+        # the first decoder block of a preset, at its bottleneck shape, is
+        # block_graph's block layer for layer: names, kinds, attributes,
+        # shapes and wiring (with the bottleneck as the block's "image")
+        name = next(n for n, (_, d, _) in PRESETS.items() if d == decoder)
+        graph = build_model(preset(name, input_h=64, input_w=96, width_div=8))
+        first = [layer for layer in graph.layers if layer.name.startswith("dec.b1.")]
+        _, h, w, cin = dict(shape_trace(graph))[graph.bottleneck]
+        cout = first[-1].out_shape[3]
+        block = block_graph(decoder, h, w, cin, cout)
+        rename = {graph.bottleneck: "image"}
+        assert [(l.name, l.kind, l.attrs, l.out_shape, tuple(rename.get(i, i) for i in l.inputs))
+                for l in first] == [
+            (l.name, l.kind, l.attrs, l.out_shape, l.inputs) for l in block.layers]
+        assert block.input_shape == (1, h, w, cin)
+        assert block.output == first[-1].name
+
+    def test_unknown_decoder_rejected(self):
+        with pytest.raises(ValueError, match="decoder"):
+            block_graph("bilinear", 4, 4, 2, 2)
+
+    def test_wrong_input_channels_rejected(self):
+        graph = block_graph("upconv_fast", 4, 5, 3, 2)
+        weights = random_weights(graph, seed=0)
+        with pytest.raises(ValueError, match=re.escape("does not match expected (N, 4, 5, 3)")):
+            infer(graph, weights, Tensor4.zeros(1, 4, 5, 2))
 
 
 class TestOddResolutionLadder:

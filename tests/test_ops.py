@@ -20,18 +20,24 @@ def rand_kernel(rng, kh, kw, cin, cout, bias=True, dtype=np.float32):
     return ConvKernel(w, b)
 
 
+def conv_same(x, k, stride=1):
+    """A "same"-padded conv, padded by ops.same_pads per axis as the model builder does."""
+    pads = ops.same_pads(x.h, k.kh, stride) + ops.same_pads(x.w, k.kw, stride)
+    return ops.conv2d_padded(x, k, stride, pads)
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
         x = rand_tensor(rng, (2, 4, 5, 3))
         k = ConvKernel(np.eye(3, dtype=np.float32).reshape(1, 1, 3, 3), np.zeros(3))
-        out = ops.conv2d(x, k, stride=1, padding="same")
+        out = conv_same(x, k)
         assert np.array_equal(out.data, x.data)
 
     def test_ones_kernel_overlap_counts(self):
         x = Tensor4(np.ones((1, 3, 3, 1), dtype=np.float32))
         k = ConvKernel(np.ones((3, 3, 1, 1), dtype=np.float32))
-        out = ops.conv2d(x, k, stride=1, padding="same").data[0, :, :, 0]
+        out = conv_same(x, k).data[0, :, :, 0]
         expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=np.float32)
         assert np.array_equal(out, expected)
 
@@ -39,7 +45,7 @@ class TestConv2d:
         rng = np.random.default_rng(1)
         x = rand_tensor(rng, (2, 7, 5, 3))
         k = rand_kernel(rng, 3, 3, 3, 4)
-        out = ops.conv2d(x, k, stride=1, padding="same")
+        out = conv_same(x, k)
         ref = conv2d_loop_ref(x, k, 1, (1, 1, 1, 1))
         assert np.max(np.abs(out.data - ref)) <= 1e-5
 
@@ -67,8 +73,9 @@ class TestConv2d:
         assert out.dtype == dtype
         tol = (1e-5 if dtype == np.float32 else 1e-12) * max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(out.data - ref)) <= tol
-        same = ops.conv2d(x, k, stride=stride, padding="same")
         same_pads = same_pads_ref(h, kh, stride) + same_pads_ref(w, kw, stride)
+        assert ops.same_pads(h, kh, stride) + ops.same_pads(w, kw, stride) == same_pads
+        same = conv_same(x, k, stride)
         assert np.array_equal(same.data, ops.conv2d_padded(x, k, stride, same_pads).data)
 
     def test_stride1_memory_stays_near_input_size(self):
@@ -119,37 +126,31 @@ class TestConv2d:
         stride = int(rng.integers(1, 4))
         x = rand_tensor(rng, (1, h, w, 2))
         k = rand_kernel(rng, kh, kw, 2, 3)
-        same = ops.conv2d(x, k, stride=stride, padding="same")
+        same = conv_same(x, k, stride)
         assert same.shape[1:3] == (-(-h // stride), -(-w // stride))
         if h >= kh and w >= kw:
-            valid = ops.conv2d(x, k, stride=stride, padding="valid")
+            valid = ops.conv2d_padded(x, k, stride, (0, 0, 0, 0))
             assert valid.shape[1:3] == ((h - kh) // stride + 1, (w - kw) // stride + 1)
 
     def test_valid_zero_size_rejected(self):
         x = Tensor4(np.zeros((1, 2, 2, 1), dtype=np.float32))
         k = ConvKernel(np.zeros((3, 3, 1, 1), dtype=np.float32))
         with pytest.raises(ValueError, match="zero-size"):
-            ops.conv2d(x, k, stride=1, padding="valid")
+            ops.conv2d_padded(x, k, 1, (0, 0, 0, 0))
 
     def test_channel_mismatch_rejected(self):
         x = Tensor4(np.zeros((1, 2, 2, 2), dtype=np.float32))
         k = ConvKernel(np.zeros((1, 1, 3, 1), dtype=np.float32))
         with pytest.raises(ValueError, match="channels"):
-            ops.conv2d(x, k)
-
-    def test_unknown_padding_rejected(self):
-        x = Tensor4(np.zeros((1, 2, 2, 1), dtype=np.float32))
-        k = ConvKernel(np.zeros((1, 1, 1, 1), dtype=np.float32))
-        with pytest.raises(ValueError, match="padding"):
-            ops.conv2d(x, k, padding="reflect")
+            conv_same(x, k)
 
     def test_pure_and_deterministic(self):
         rng = np.random.default_rng(3)
         x = rand_tensor(rng, (1, 6, 6, 2))
         k = rand_kernel(rng, 3, 3, 2, 2)
         before = x.data.copy()
-        a = ops.conv2d(x, k)
-        b = ops.conv2d(x, k)
+        a = conv_same(x, k)
+        b = conv_same(x, k)
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(x.data, before)
 
@@ -378,8 +379,7 @@ class TestResample:
 
 def nonbt_pair(x, k31, k13):
     """The upsampling_nonbt decoder's factorized conv: relu(conv1x3(relu(conv3x1(x))))."""
-    y = ops.relu(ops.conv2d(x, k31, stride=1, padding="same"))
-    return ops.relu(ops.conv2d(y, k13, stride=1, padding="same"))
+    return ops.relu(conv_same(ops.relu(conv_same(x, k31)), k13))
 
 
 class TestNonbtBlock:
@@ -420,7 +420,7 @@ class TestNonbtBlock:
             (col[:, :, :, 0][:, :, :, None] * row[0, :, 0, 0][None, :, None, None])
         )
         out = nonbt_pair(x, k31, k13)
-        direct = ops.conv2d(x, product, stride=1, padding="same")
+        direct = conv_same(x, product)
         assert np.max(np.abs(out.data - direct.data)) <= 1e-5
 
 

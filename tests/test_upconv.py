@@ -1,12 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from fcnndepth import ops
+from fcnndepth.models import block_graph, infer
+from fcnndepth.ops import BRANCHES
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
 from fcnndepth.upconv import (
-    BRANCHES,
-    SplitUpConvWeights,
-    UpConvWeights,
     fast_block_macs,
     naive_block_macs,
     random_upconv_weights,
@@ -15,6 +16,7 @@ from fcnndepth.upconv import (
     upconv_block_naive,
     verify_equivalence,
 )
+from fcnndepth.weights_io import WeightContainer, WeightFormatError
 
 
 def identity_bn(c, dtype=np.float32):
@@ -25,58 +27,60 @@ def identity_bn(c, dtype=np.float32):
     )
 
 
+def naive_container(kernel: ConvKernel, bn: BatchNormParams) -> WeightContainer:
+    return WeightContainer({"dec.b1.up5x5": kernel, "dec.b1.bn": bn})
+
+
+def sub_kernels(split: WeightContainer) -> dict[str, ConvKernel]:
+    return {name: split[f"dec.b1.{name}"] for name in BRANCHES}
+
+
+def count_convs(monkeypatch) -> list:
+    """Patch ops.conv2d_padded (every up-conv block conv goes through it) to log its calls."""
+    calls, real = [], ops.conv2d_padded
+    monkeypatch.setattr(ops, "conv2d_padded", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
 class TestSplitWeights:
     def test_delta_kernel_lands_in_k33_center(self):
         k = np.zeros((5, 5, 1, 1), dtype=np.float32)
         k[2, 2, 0, 0] = 1.0
-        split = split_weights_5x5(UpConvWeights(ConvKernel(k), identity_bn(1)))
+        split = sub_kernels(split_weights_5x5(naive_container(ConvKernel(k), identity_bn(1))))
         expected = np.zeros((3, 3, 1, 1), dtype=np.float32)
         expected[1, 1, 0, 0] = 1.0
-        assert np.array_equal(split.kernels["k33"].weights, expected)
-        assert not split.kernels["k32"].weights.any()
-        assert not split.kernels["k23"].weights.any()
-        assert not split.kernels["k22"].weights.any()
+        assert np.array_equal(split["k33"].weights, expected)
+        assert not split["k32"].weights.any()
+        assert not split["k23"].weights.any()
+        assert not split["k22"].weights.any()
 
     def test_parity_class_cardinalities(self):
         k = np.ones((5, 5, 2, 3), dtype=np.float32)
-        split = split_weights_5x5(UpConvWeights(ConvKernel(k), identity_bn(3)))
-        counts = {name: kern.weights[:, :, 0, 0].size for name, kern in split.kernels.items()}
+        split = sub_kernels(split_weights_5x5(naive_container(ConvKernel(k), identity_bn(3))))
+        counts = {name: kern.weights[:, :, 0, 0].size for name, kern in split.items()}
         assert counts == {"k33": 9, "k32": 6, "k23": 6, "k22": 4}
         assert sum(counts.values()) == 25
 
     def test_split_is_weight_permutation(self):
         rng = np.random.default_rng(0)
         k = rng.standard_normal((5, 5, 3, 2)).astype(np.float32)
-        split = split_weights_5x5(UpConvWeights(ConvKernel(k), identity_bn(2)))
-        parts = np.concatenate([kern.weights.ravel() for kern in split.kernels.values()])
+        split = sub_kernels(split_weights_5x5(naive_container(ConvKernel(k), identity_bn(2))))
+        parts = np.concatenate([kern.weights.ravel() for kern in split.values()])
         assert np.array_equal(np.sort(parts), np.sort(k.ravel()))
 
     def test_bias_replicated(self):
         rng = np.random.default_rng(1)
         bias = rng.standard_normal(2).astype(np.float32)
         k = ConvKernel(rng.standard_normal((5, 5, 1, 2)).astype(np.float32), bias)
-        split = split_weights_5x5(UpConvWeights(k, identity_bn(2)))
-        for kern in split.kernels.values():
+        split = sub_kernels(split_weights_5x5(naive_container(k, identity_bn(2))))
+        for kern in split.values():
             assert np.array_equal(kern.bias, bias)
 
     def test_rejects_non_5x5(self):
-        with pytest.raises(ValueError, match="5x5"):
-            UpConvWeights(ConvKernel(np.zeros((3, 3, 1, 1), dtype=np.float32)), identity_bn(1))
-
-    def test_split_type_validates_sizes(self):
-        k33 = ConvKernel(np.zeros((3, 3, 1, 1), dtype=np.float32))
-        bad = ConvKernel(np.zeros((2, 2, 1, 1), dtype=np.float32))
-        k23 = ConvKernel(np.zeros((2, 3, 1, 1), dtype=np.float32))
-        k22 = ConvKernel(np.zeros((2, 2, 1, 1), dtype=np.float32))
-        kernels = {"k33": k33, "k32": bad, "k23": k23, "k22": k22}
-        with pytest.raises(ValueError, match="k32"):
-            SplitUpConvWeights(kernels, identity_bn(1))
-        missing = {"k33": k33, "k23": k23, "k22": k22}
-        with pytest.raises(ValueError, match="named"):
-            SplitUpConvWeights(missing, identity_bn(1))
-        extra = {"k33": k33, "k32": k22, "k23": k23, "k22": k22, "k55": k33}
-        with pytest.raises(ValueError, match="k55"):
-            SplitUpConvWeights(extra, identity_bn(1))
+        weights = naive_container(ConvKernel(np.zeros((3, 3, 1, 1), dtype=np.float32)),
+                                  identity_bn(1))
+        with pytest.raises(WeightFormatError, match="5x5"):
+            split_weights_5x5(weights)
 
     def test_table_derived_from_phase_rule_is_the_literal_table(self):
         # the table as written out before it was derived from ops.phase_split
@@ -99,11 +103,12 @@ class TestSplitWeights:
         # conv on the zero-stuffed grid
         x = Tensor4(np.random.default_rng(9).standard_normal((1, 4, 5, 1)))
         up = ops.unpool_zero2(x)
+        same = ops.same_pads(up.h, 5, 1) + ops.same_pads(up.w, 5, 1)
         for a in range(5):
             for b in range(5):
                 k = np.zeros((5, 5, 1, 1))
                 k[a, b] = 1.0
-                naive = ops.conv2d(up, ConvKernel(k), stride=1, padding="same").data
+                naive = ops.conv2d_padded(up, ConvKernel(k), 1, same).data
                 for r, c, size, pads in BRANCHES.values():
                     sub = ConvKernel(k[r::2, c::2])
                     assert (sub.kh, sub.kw) == size
@@ -111,18 +116,65 @@ class TestSplitWeights:
                     assert np.array_equal(branch, naive[:, r::2, c::2]), (a, b, r, c)
 
 
+class TestBlockWeightCheck:
+    """infer's weight check validates a block container, naming the dec.b1 layer."""
+
+    def check(self, monkeypatch, decoder, weights, layer, message):
+        calls = count_convs(monkeypatch)
+        graph = block_graph(decoder, 4, 5, 2, 3)
+        x = Tensor4(np.ones((1, 4, 5, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match=re.escape(f"layer '{layer}': {message}")):
+            infer(graph, weights, x)
+        assert calls == []
+
+    def split(self):
+        return split_weights_5x5(random_upconv_weights(2, 3, np.random.default_rng(10)))
+
+    def test_missing_sub_kernel(self, monkeypatch):
+        weights = self.split()
+        del weights.entries["dec.b1.k22"]
+        self.check(monkeypatch, "upconv_fast", weights, "dec.b1.k22",
+                   "missing weight entry (1 missing in total)")
+
+    def test_non_5x5_kernel(self, monkeypatch):
+        weights = naive_container(ConvKernel(np.zeros((3, 3, 2, 3), dtype=np.float32)),
+                                  identity_bn(3))
+        self.check(monkeypatch, "upconv_naive", weights, "dec.b1.up5x5",
+                   "kernel shape (3, 3, 2, 3) does not match layer specification (5, 5, 2, 3)")
+
+    def test_sub_kernel_of_wrong_size(self, monkeypatch):
+        weights = self.split()
+        weights.entries["dec.b1.k32"] = weights["dec.b1.k22"]
+        self.check(monkeypatch, "upconv_fast", weights, "dec.b1.k32",
+                   "kernel shape (2, 2, 2, 3) does not match layer specification (3, 2, 2, 3)")
+
+    def test_sub_kernels_disagree_on_channels(self, monkeypatch):
+        weights = self.split()
+        weights.entries["dec.b1.k23"] = ConvKernel(np.zeros((2, 3, 2, 4), dtype=np.float32))
+        self.check(monkeypatch, "upconv_fast", weights, "dec.b1.k23",
+                   "kernel shape (2, 3, 2, 4) does not match layer specification (2, 3, 2, 3)")
+
+    @pytest.mark.parametrize("block", [upconv_block_naive, upconv_block_fast])
+    def test_missing_batch_norm_named_by_the_block_api(self, block):
+        weights = random_upconv_weights(2, 3, np.random.default_rng(11))
+        if block is upconv_block_fast:
+            weights = split_weights_5x5(weights)
+        del weights.entries["dec.b1.bn"]
+        with pytest.raises(ValueError, match=re.escape("layer 'dec.b1.bn': missing weight entry")):
+            block(Tensor4.zeros(1, 4, 5, 2), weights)
+
+
 class TestNaiveBlock:
     def test_zero_input_passes_beta_through_relu(self):
         rng = np.random.default_rng(2)
         w = random_upconv_weights(2, 3, rng)
-        w = UpConvWeights(
-            ConvKernel(w.full.weights, None), w.bn  # no bias: conv output is zero
-        )
+        bn = w["dec.b1.bn"]
+        # no bias: conv output is zero
+        w = naive_container(ConvKernel(w["dec.b1.up5x5"].weights, None), bn)
         x = Tensor4.zeros(1, 3, 3, 2)
         out = upconv_block_naive(x, w)
         expected = np.maximum(
-            w.bn.gamma * (0.0 - w.bn.mean) / np.sqrt(w.bn.variance + np.float32(w.bn.eps))
-            + w.bn.beta,
+            bn.gamma * (0.0 - bn.mean) / np.sqrt(bn.variance + np.float32(bn.eps)) + bn.beta,
             0.0,
         )
         assert np.allclose(out.data, np.broadcast_to(expected, out.shape), atol=1e-6)
@@ -138,9 +190,11 @@ class TestNaiveBlock:
         w = random_upconv_weights(3, 2, rng)
         x = Tensor4(rng.standard_normal((2, 4, 5, 3)).astype(np.float32))
         block = upconv_block_naive(x, w)
+        same = ops.same_pads(8, 5, 1) + ops.same_pads(10, 5, 1)
         manual = ops.relu(
             ops.batchnorm_infer(
-                ops.conv2d(ops.unpool_zero2(x), w.full, stride=1, padding="same"), w.bn
+                ops.conv2d_padded(ops.unpool_zero2(x), w["dec.b1.up5x5"], 1, same),
+                w["dec.b1.bn"],
             )
         )
         assert np.array_equal(block.data, manual.data)
@@ -148,7 +202,7 @@ class TestNaiveBlock:
     def test_channel_mismatch_rejected(self):
         rng = np.random.default_rng(5)
         w = random_upconv_weights(3, 2, rng)
-        with pytest.raises(ValueError, match="channels"):
+        with pytest.raises(ValueError, match=r"layer 'dec\.b1\.up5x5': kernel shape"):
             upconv_block_naive(Tensor4.zeros(1, 2, 2, 4), w)
 
 
@@ -189,7 +243,7 @@ class TestFastBlock:
         k = np.zeros((5, 5, 2, 2), dtype=np.float32)
         k[2, 2, 0, 0] = 1.0
         k[2, 2, 1, 1] = 1.0
-        w = UpConvWeights(ConvKernel(k), identity_bn(2))
+        w = naive_container(ConvKernel(k), identity_bn(2))
         x = Tensor4(rng.standard_normal((1, 3, 4, 2)).astype(np.float32))
         naive = upconv_block_naive(x, w)
         fast = upconv_block_fast(x, split_weights_5x5(w))
@@ -198,7 +252,7 @@ class TestFastBlock:
         assert np.array_equal(naive.data, ops.relu(ops.unpool_zero2(x)).data)
 
     def test_zero_weights_zero_difference(self):
-        w = UpConvWeights(
+        w = naive_container(
             ConvKernel(np.zeros((5, 5, 2, 2), dtype=np.float32), np.zeros(2)),
             identity_bn(2),
         )
@@ -211,8 +265,8 @@ class TestFastBlock:
         # every branch conv output must be exactly the input spatial size
         rng = np.random.default_rng(8)
         x = Tensor4(rng.standard_normal((1, 5, 6, 2)).astype(np.float32))
-        split = split_weights_5x5(random_upconv_weights(2, 3, rng) )
-        for name, kernel in split.kernels.items():
+        split = sub_kernels(split_weights_5x5(random_upconv_weights(2, 3, rng)))
+        for name, kernel in split.items():
             out = ops.conv2d_padded(x, kernel, stride=1, pads=BRANCHES[name][3])
             assert out.shape == (1, 5, 6, 3), name
 
@@ -238,3 +292,8 @@ class TestMacCounts:
     def test_expected_ratio(self):
         # 25 taps on the 4x-sparse grid vs 25 dense taps at quarter the pixels
         assert naive_block_macs(8, 8, 4, 4) == 4 * fast_block_macs(8, 8, 4, 4)
+
+    @pytest.mark.parametrize("h, w, cin, cout", [(1, 1, 1, 1), (3, 5, 2, 7), (16, 16, 256, 128)])
+    def test_closed_forms(self, h, w, cin, cout):
+        assert naive_block_macs(h, w, cin, cout) == (2 * h) * (2 * w) * cout * 25 * cin
+        assert fast_block_macs(h, w, cin, cout) == h * w * cout * (9 + 6 + 6 + 4) * cin

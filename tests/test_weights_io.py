@@ -13,6 +13,7 @@ from fcnndepth.weights_io import (
     save_weights,
     split_container,
 )
+from helpers import mutations
 
 
 @pytest.fixture
@@ -219,17 +220,8 @@ class TestFormatErrors:
         save_weights(random_weights(graph, seed=6), path)
         good = path.read_bytes()
         escaped, unlocated = [], []
-        for seed in range(3000):
-            rng = np.random.default_rng(seed)
-            blob = bytearray(good)
-            if seed % 3 == 0:
-                blob = blob[: int(rng.integers(0, len(blob)))]
-            elif seed % 3 == 1:
-                for pos in rng.integers(0, len(blob), int(rng.integers(1, 9))):
-                    blob[pos] = int(rng.integers(0, 256))
-            else:
-                blob += rng.bytes(int(rng.integers(1, 64)))
-            path.write_bytes(bytes(blob))
+        for seed, blob in mutations(good):
+            path.write_bytes(blob)
             try:
                 load_weights(path)
             except WeightFormatError as err:
