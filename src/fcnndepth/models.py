@@ -220,8 +220,8 @@ OPS: dict[str, Op] = {
     "unpool_zero2": Op(_up2_shape, lambda a, xs, w: ops.unpool_zero2(xs[0])),
     "add": Op(_add_shape, lambda a, xs, w: ops.add(xs[0], xs[1])),
     "interleave4": Op(_interleave_shape, lambda a, xs, w: interleave4(*xs)),
-    "crop": Op(_crop_shape, lambda a, xs, w: Tensor4(
-        xs[0].data[:, : a["target_h"], : a["target_w"]].copy())),
+    "crop": Op(_crop_shape,
+               lambda a, xs, w: Tensor4(xs[0].data[:, : a["target_h"], : a["target_w"]])),
 }
 
 

@@ -2,8 +2,9 @@
 activation, normalization, and 2x resampling.
 
 All operations are pure functions: they never modify their inputs and the
-same inputs always produce bit-identical outputs. "Convolution" means
-cross-correlation (no kernel flip), the usual deep-learning convention.
+same inputs always produce bit-identical outputs. Operands share one dtype,
+which the output keeps. "Convolution" means cross-correlation (no kernel
+flip), the usual deep-learning convention.
 """
 from __future__ import annotations
 
@@ -12,11 +13,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import BatchNormParams, ConvKernel, Tensor4
 
-def _check_channels(x: Tensor4, kernel: ConvKernel) -> None:
+def _check_operands(x: Tensor4, kernel: ConvKernel) -> None:
     if x.c != kernel.cin:
         raise ValueError(
             f"input has {x.c} channels but kernel expects {kernel.cin}"
         )
+    _check_dtype(x, kernel.weights)
+
+
+def _check_dtype(x: Tensor4, other) -> None:
+    if x.dtype != other.dtype:
+        raise ValueError(f"operands must share one dtype, got {x.dtype} and {other.dtype}")
 
 
 def conv2d_padded(
@@ -47,10 +54,8 @@ def conv2d_padded(
     projections. The 3-channel stem is where per-tap GEMMs lose: with
     K = 3 each GEMM is too thin, and 49 of them took 62 ms at 320x240
     against 9.8 ms for the window copy.
-
-    The output dtype is ``np.result_type(x, kernel.weights)``.
     """
-    _check_channels(x, kernel)
+    _check_operands(x, kernel)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if min(pads) < 0:
@@ -96,7 +101,7 @@ def _conv_taps(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     rows = (n - 1) * hp * wp + (oh - 1) * wp + ow
     flat = padded.reshape(n * hp * wp, cin)
     (_, first), *rest = [(a * wp + b, weights[a, b]) for a in range(kh) for b in range(kw)]
-    acc = np.empty((n * hp * wp, cout), dtype=np.result_type(padded, weights))
+    acc = np.empty((n * hp * wp, cout), dtype=padded.dtype)
     np.matmul(flat[:rows], first, out=acc[:rows])
     if rest:
         prod = np.empty((rows, cout), dtype=acc.dtype)
@@ -177,10 +182,9 @@ def deconv2d(x: Tensor4, kernel: ConvKernel, stride: int = 2) -> Tensor4:
     with pads (1, r, 1, c). It runs k * k * cin * cout MACs per input pixel,
     stride ** 2 fewer than a convolution of the zero-inserted grid, and
     copies neither the kernel nor the input beyond its padding. A phase with
-    no taps (only when k < stride) holds the bias alone. The output dtype is
-    ``np.result_type(x, kernel.weights)``.
+    no taps (only when k < stride) holds the bias alone.
     """
-    _check_channels(x, kernel)
+    _check_operands(x, kernel)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     n, h, w, _ = x.shape
@@ -188,7 +192,7 @@ def deconv2d(x: Tensor4, kernel: ConvKernel, stride: int = 2) -> Tensor4:
     rows = [phase_split(kh, stride, kh - 1 - max(kh - stride, 0) // 2, r) for r in range(stride)]
     cols = [phase_split(kw, stride, kw - 1 - max(kw - stride, 0) // 2, c) for c in range(stride)]
     flipped = kernel.weights[::-1, ::-1]
-    out = np.empty((n, h * stride, w * stride, kernel.cout), dtype=np.result_type(x.data, flipped))
+    out = np.empty((n, h * stride, w * stride, kernel.cout), dtype=x.dtype)
     for r, (a0, th, pads_r) in enumerate(rows):
         for c, (b0, tw, pads_c) in enumerate(cols):
             phase = out[:, r::stride, c::stride]
@@ -213,6 +217,7 @@ def batchnorm_infer(x: Tensor4, params: BatchNormParams) -> Tensor4:
         raise ValueError(
             f"batchnorm has {params.channels} channels but input has {x.c}"
         )
+    _check_dtype(x, params.mean)
     scale = params.gamma / np.sqrt(params.variance + params.eps)
     return Tensor4((x.data - params.mean) * scale + params.beta)
 
@@ -242,4 +247,5 @@ def add(a: Tensor4, b: Tensor4) -> Tensor4:
     """Elementwise sum of two identically shaped tensors."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _check_dtype(a, b)
     return Tensor4(a.data + b.data)

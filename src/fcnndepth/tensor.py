@@ -8,29 +8,27 @@ import numpy as np
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def _as_float_array(values, like=None) -> np.ndarray:
-    """Coerce to a C-contiguous float32/float64 array (float32 by default)."""
+def _float_array(values, name: str) -> np.ndarray:
+    """`values` as an array, neither cast nor copied; only float32 or float64 passes."""
     arr = np.asarray(values)
     if arr.dtype not in _FLOAT_DTYPES:
-        arr = arr.astype(np.float32)
-    if like is not None and arr.dtype != like:
-        arr = arr.astype(like)
-    return np.ascontiguousarray(arr)
+        raise ValueError(f"{name} must be float32 or float64, got {arr.dtype}")
+    return arr
 
 
 @dataclass(frozen=True)
 class Tensor4:
     """Dense rank-4 array in (batch, height, width, channels) layout.
 
-    Data is kept C-contiguous, so the linear position of element
-    (n, h, w, c) is ((n * H + h) * W + w) * C + c. Kernels treat tensors
-    as immutable values and always allocate fresh outputs.
+    Data is float32 or float64, kept as given (never cast or copied), and
+    ``data.ravel()`` lists element (n, h, w, c) at ((n * H + h) * W + w) * C + c.
+    Kernels treat tensors as immutable values and never write into their inputs.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_array(self.data)
+        arr = _float_array(self.data, "data")
         if arr.ndim != 4:
             raise ValueError(f"expected rank-4 data, got rank {arr.ndim}")
         if min(arr.shape) < 1:
@@ -77,18 +75,20 @@ class ConvKernel:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        w = _as_float_array(self.weights)
+        w = _float_array(self.weights, "kernel weights")
         if w.ndim != 4:
             raise ValueError(f"kernel weights must be rank 4, got rank {w.ndim}")
         if min(w.shape) < 1:
             raise ValueError(f"kernel dimensions must be >= 1, got {w.shape}")
         object.__setattr__(self, "weights", w)
         if self.bias is not None:
-            b = _as_float_array(self.bias, like=w.dtype)
+            b = np.asarray(self.bias)
             if b.ndim != 1 or b.shape[0] != w.shape[3]:
                 raise ValueError(
                     f"bias must have {w.shape[3]} entries, got shape {b.shape}"
                 )
+            if b.dtype != w.dtype:
+                raise ValueError(f"bias is {b.dtype} but the weights are {w.dtype}")
             object.__setattr__(self, "bias", b)
 
     @property
@@ -119,19 +119,15 @@ class BatchNormParams:
     eps: float = 1e-5
 
     def __post_init__(self):
-        fields = {}
-        dtype = None
-        for name in ("mean", "variance", "gamma", "beta"):
-            arr = _as_float_array(getattr(self, name))
-            if arr.dtype == np.float64:
-                dtype = np.float64
-            fields[name] = arr
+        fields = {name: _float_array(getattr(self, name), name)
+                  for name in ("mean", "variance", "gamma", "beta")}
         for name, arr in fields.items():
-            arr = arr if dtype is None or arr.dtype == dtype else arr.astype(dtype)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-D, got rank {arr.ndim}")
             if arr.shape != fields["mean"].shape:
                 raise ValueError("per-channel parameter lengths differ")
+            if arr.dtype != fields["mean"].dtype:
+                raise ValueError(f"{name} is {arr.dtype} but mean is {fields['mean'].dtype}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has non-finite values")
             object.__setattr__(self, name, arr)

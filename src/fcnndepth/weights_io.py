@@ -70,7 +70,7 @@ def _record(name: str, kind: int, array: np.ndarray) -> tuple[bytes, np.ndarray]
 
 
 def save_weights(container: WeightContainer, path) -> None:
-    """Serialize a container; loading the result reproduces it exactly.
+    """Serialize a float32 container; loading the result reproduces it exactly.
 
     Every entry is checked before the file is opened; each float32 array is
     then written from its own buffer, so saving makes no copy of the weights.
@@ -87,6 +87,9 @@ def save_weights(container: WeightContainer, path) -> None:
             records.append(_record(name, _KIND_BATCHNORM, block))
         else:
             raise WeightFormatError(f"entry {name!r} has unsupported type {type(entry)}")
+        own = entry.weights if isinstance(entry, ConvKernel) else entry.mean
+        if own.dtype != np.float32:
+            raise WeightFormatError(f"entry {name!r} is {own.dtype}; the format stores float32")
     with open(path, "wb") as f:
         f.write(MAGIC + bytes([VERSION]))
         for header, array in records:
@@ -176,13 +179,13 @@ def split_container(container: WeightContainer) -> WeightContainer:
     """Convert a naive up-convolution container to its fast-path equivalent.
 
     Every "<block>.up5x5" kernel K is split into the four parity
-    sub-kernels "<block>.k33" / ".k32" / ".k23" / ".k22", K[r::2, c::2]
-    for each ops.BRANCHES entry (r, c); all other entries pass through
-    unchanged. The 25 taps per (cin, cout) pair are rearranged, never
-    altered, and the kernel's bias, if any, goes to every sub-kernel, since
-    each output pixel comes from exactly one branch. Raises if the
-    container holds no naive up-convolution kernels (already converted, or
-    not an up-convolution model at all).
+    sub-kernels "<block>.k33" / ".k32" / ".k23" / ".k22", the views (not
+    copies) K[r::2, c::2] for each ops.BRANCHES entry (r, c); all other
+    entries pass through unchanged. The 25 taps per (cin, cout) pair are
+    regrouped, never altered, and the kernel's bias, if any, goes to every
+    sub-kernel, since each output pixel comes from exactly one branch.
+    Raises if the container holds no naive up-convolution kernels (already
+    converted, or not an up-convolution model at all).
     """
     out: dict[str, ConvKernel | BatchNormParams] = {}
     converted = 0

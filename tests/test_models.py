@@ -187,10 +187,19 @@ def lite_fast():
     return graph, random_weights(graph, seed=21)
 
 
+@pytest.fixture(scope="module")
+def basic_deconv():
+    graph = build_model(preset("basic-deconv", input_h=64, input_w=64, width_div=8))
+    return graph, random_weights(graph, seed=24)
+
+
 def count_convs(monkeypatch) -> list:
-    """Patch ops.conv2d_padded (every conv and deconv goes through it) to log its calls."""
-    calls, real = [], ops.conv2d_padded
-    monkeypatch.setattr(ops, "conv2d_padded", lambda *a, **k: calls.append(1) or real(*a, **k))
+    """Patch ops.conv2d_padded and ops.deconv2d, which every conv and deconv layer calls,
+    to log their calls (the OPS rows look both up when called)."""
+    calls = []
+    for name in ("conv2d_padded", "deconv2d"):
+        real = getattr(ops, name)
+        monkeypatch.setattr(ops, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
     return calls
 
 
@@ -223,10 +232,12 @@ class TestWeightCheck:
         ("dec.b4.k22", None, "missing weight entry (1 missing in total)"),
         ("dec.b4.bn", widened, "batch norm has 2 channels, layer needs 1"),
         ("dec.b4.bn", as_float64, "weights mix dtypes [float32, float64]"),
+        ("dec.b3.deconv", as_float64, "weights mix dtypes [float32, float64]"),
     ])
-    def test_bad_container_raises_before_any_conv(self, lite_fast, monkeypatch,
+    def test_bad_container_raises_before_any_conv(self, lite_fast, basic_deconv, monkeypatch,
                                                   victim, corrupt, message):
-        graph, good = lite_fast
+        # a deconv victim is basic-deconv's layer, the others lite-upconv-fast's
+        graph, good = basic_deconv if victim.endswith(".deconv") else lite_fast
         entries = dict(good.entries)
         if corrupt is None:
             del entries[victim]
@@ -237,7 +248,7 @@ class TestWeightCheck:
             infer(graph, WeightContainer(entries), rand_image(64, 64))
         assert calls == []
         infer(graph, good, rand_image(64, 64))
-        assert len(calls) == sum(layer.kind == "conv" for layer in graph.layers)
+        assert len(calls) == sum(layer.kind in ("conv", "deconv") for layer in graph.layers)
 
     def test_float64_image_computes_in_weights_dtype(self, lite_fast):
         graph, weights = lite_fast
@@ -396,6 +407,12 @@ class TestOpTable:
         assert len(deconvs) == 5
         assert sum(OPS["deconv"].macs(l) for l in deconvs) == expected
 
+    def test_crop_returns_a_view(self):
+        x = rand_image(6, 7)
+        out = OPS["crop"].run({"target_h": 4, "target_w": 5}, [x], None)
+        assert np.shares_memory(out.data, x.data)
+        assert np.array_equal(out.data, x.data[:, :4, :5])
+
     def test_random_weights_peak_memory_near_weight_bytes(self):
         graph = build_model(preset("lite-upconv", input_h=64, input_w=64, width_div=4))
         tracemalloc.start()
@@ -409,3 +426,28 @@ class TestOpTable:
             for e in weights.entries.values()
         )
         assert peak < 1.3 * total
+
+
+# tracemalloc peaks of infer at 480x640, width /8, random_weights seed 0, when
+# these bounds were set. The stem's 7x7/2 window matrix (240 * 320 rows of
+# 147 float32 values, about 45 MB) sets most of every peak at any width, so
+# the bounds are absolute, not relative to the graph's largest activation.
+INFER_PEAK_MB = {
+    "basic-deconv": 51.4, "basic-sc-deconv": 51.4, "lite-upconv": 51.4, "lite-upconv-fast": 51.4,
+    "basic-sc-nonbt": 59.1, "lite-sc-nonbt": 59.1,
+    "basic-sc-upconv": 70.1, "basic-sc-upconv-fast": 70.1,
+}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_infer_peak_memory_at_640x480(name):
+    graph = build_model(preset(name, input_h=480, input_w=640, width_div=8))
+    weights = random_weights(graph, seed=0)
+    image = rand_image(480, 640)
+    tracemalloc.start()
+    try:
+        infer(graph, weights, image)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * INFER_PEAK_MB[name] * 1e6, peak

@@ -20,6 +20,19 @@ def rand_kernel(rng, kh, kw, cin, cout, bias=True, dtype=np.float32):
     return ConvKernel(w, b)
 
 
+def assert_one_dtype(run, x_dtype, w_dtype):
+    """`run()` keeps the dtype its operands share, and raises on a mixed pair."""
+    if x_dtype == w_dtype:
+        assert run().dtype == x_dtype
+    else:
+        names = np.dtype(x_dtype).name, np.dtype(w_dtype).name
+        with pytest.raises(ValueError, match=r"operands must share one dtype, got %s and %s" % names):
+            run()
+
+
+DTYPES = [np.float32, np.float64]
+
+
 def conv_same(x, k, stride=1):
     """A "same"-padded conv, padded by ops.same_pads per axis as the model builder does."""
     pads = ops.same_pads(x.h, k.kh, stride) + ops.same_pads(x.w, k.kw, stride)
@@ -30,7 +43,8 @@ class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
         x = rand_tensor(rng, (2, 4, 5, 3))
-        k = ConvKernel(np.eye(3, dtype=np.float32).reshape(1, 1, 3, 3), np.zeros(3))
+        k = ConvKernel(np.eye(3, dtype=np.float32).reshape(1, 1, 3, 3),
+                       np.zeros(3, dtype=np.float32))
         out = conv_same(x, k)
         assert np.array_equal(out.data, x.data)
 
@@ -109,14 +123,14 @@ class TestConv2d:
         assert np.array_equal(out.data, flat.reshape(out.shape))
 
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_dtype", DTYPES)
+    @pytest.mark.parametrize("w_dtype", DTYPES)
     def test_output_dtype_is_result_type(self, stride, x_dtype, w_dtype):
+        # the result type is the one dtype the operands share; a mixed pair has none
         rng = np.random.default_rng(15)
         x = rand_tensor(rng, (1, 5, 6, 3), x_dtype)
         k = rand_kernel(rng, 3, 3, 3, 2, dtype=w_dtype)
-        out = ops.conv2d_padded(x, k, stride, (1, 1, 1, 1))
-        assert out.dtype == np.result_type(x_dtype, w_dtype)
+        assert_one_dtype(lambda: ops.conv2d_padded(x, k, stride, (1, 1, 1, 1)), x_dtype, w_dtype)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_shape_contracts(self, seed):
@@ -163,6 +177,15 @@ class TestDeconv2d:
         out = ops.deconv2d(x, k, stride=2)
         assert out.shape == (1, 2, 2, 1)
         assert np.allclose(out.data[0, :, :, 0], a * k.weights[:, :, 0, 0])
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("x_dtype", DTYPES)
+    @pytest.mark.parametrize("w_dtype", DTYPES)
+    def test_operands_share_one_dtype(self, stride, x_dtype, w_dtype):
+        rng = np.random.default_rng(16)
+        x = rand_tensor(rng, (1, 5, 6, 3), x_dtype)
+        k = rand_kernel(rng, 3, 3, 3, 2, dtype=w_dtype)
+        assert_one_dtype(lambda: ops.deconv2d(x, k, stride), x_dtype, w_dtype)
 
     def test_size_contract_5x5_stride2(self):
         x = Tensor4(np.ones((1, 2, 2, 1), dtype=np.float32))
@@ -308,8 +331,15 @@ class TestBatchNorm:
     def test_identity_params(self):
         rng = np.random.default_rng(6)
         x = rand_tensor(rng, (1, 3, 3, 2))
-        p = BatchNormParams(np.zeros(2), np.ones(2), np.ones(2), np.zeros(2), eps=1e-30)
+        p = BatchNormParams(*(np.full(2, v, dtype=np.float32) for v in (0, 1, 1, 0)), eps=1e-30)
         assert np.allclose(ops.batchnorm_infer(x, p).data, x.data, atol=1e-6)
+
+    @pytest.mark.parametrize("x_dtype", DTYPES)
+    @pytest.mark.parametrize("p_dtype", DTYPES)
+    def test_operands_share_one_dtype(self, x_dtype, p_dtype):
+        x = rand_tensor(np.random.default_rng(17), (1, 3, 3, 2), x_dtype)
+        p = BatchNormParams(*(np.full(2, v, dtype=p_dtype) for v in (0.5, 2, 1.5, -1)))
+        assert_one_dtype(lambda: ops.batchnorm_infer(x, p), x_dtype, p_dtype)
 
     def test_hand_value(self):
         # 2 * (3 - 1) / sqrt(4) + 1 = 3
@@ -444,3 +474,12 @@ class TestAdd:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             ops.add(Tensor4.zeros(1, 2, 2, 1), Tensor4.zeros(1, 2, 3, 1))
+        with pytest.raises(ValueError, match="mismatch"):  # shape is checked before dtype
+            ops.add(Tensor4.zeros(1, 2, 2, 1), Tensor4.zeros(1, 2, 3, 1, dtype=np.float64))
+
+    @pytest.mark.parametrize("a_dtype", DTYPES)
+    @pytest.mark.parametrize("b_dtype", DTYPES)
+    def test_operands_share_one_dtype(self, a_dtype, b_dtype):
+        rng = np.random.default_rng(18)
+        a, b = rand_tensor(rng, (1, 3, 3, 2), a_dtype), rand_tensor(rng, (1, 3, 3, 2), b_dtype)
+        assert_one_dtype(lambda: ops.add(a, b), a_dtype, b_dtype)

@@ -253,7 +253,7 @@ class TestFastBlock:
 
     def test_zero_weights_zero_difference(self):
         w = naive_container(
-            ConvKernel(np.zeros((5, 5, 2, 2), dtype=np.float32), np.zeros(2)),
+            ConvKernel(np.zeros((5, 5, 2, 2), dtype=np.float32), np.zeros(2, dtype=np.float32)),
             identity_bn(2),
         )
         x = Tensor4(np.random.default_rng(7).standard_normal((1, 4, 4, 2)).astype(np.float32))

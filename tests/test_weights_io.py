@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fcnndepth.models import build_model, preset, random_weights, required_weights
+from fcnndepth.ops import BRANCHES
 from fcnndepth.tensor import BatchNormParams, ConvKernel
 from fcnndepth.weights_io import (
     WeightContainer,
@@ -122,7 +123,14 @@ class TestRoundTrip:
         path.write_bytes(b"previous contents")
         bad_type = WeightContainer({**container.entries, "z": np.zeros(3)})
         long_name = WeightContainer({**container.entries, "n" * 0x10000: container["head.conv"]})
-        for bad, match in ((bad_type, "unsupported type"), (long_name, "too long")):
+        # float64 entries would load back as float32, so no round trip would be exact
+        bn = container["stem.bn"]
+        kernel64 = WeightContainer({**container.entries, "head.conv": ConvKernel(
+            container["head.conv"].weights.astype(np.float64))})
+        bn64 = WeightContainer({**container.entries, "stem.bn": BatchNormParams(
+            *(a.astype(np.float64) for a in (bn.mean, bn.variance, bn.gamma, bn.beta)), bn.eps)})
+        for bad, match in ((bad_type, "unsupported type"), (long_name, "too long"),
+                           (kernel64, "'head.conv' is float64"), (bn64, "'stem.bn' is float64")):
             with pytest.raises(WeightFormatError, match=match):
                 save_weights(bad, path)
             assert path.read_bytes() == b"previous contents"
@@ -170,7 +178,8 @@ class TestFormatErrors:
         )
         # a rank-4 kernel named *.bias is fine; a rank-1 one without a parent is not
         rogue = WeightContainer(
-            {"x": ConvKernel(np.zeros((1, 1, 1, 2), dtype=np.float32), np.zeros(2))}
+            {"x": ConvKernel(np.zeros((1, 1, 1, 2), dtype=np.float32),
+                             np.zeros(2, dtype=np.float32))}
         )
         path = tmp_path / "w.fcnw"
         save_weights(rogue, path)
@@ -257,6 +266,33 @@ class TestSplitContainer:
                 [fast[f"{base}.{k}"].weights.ravel() for k in ("k33", "k32", "k23", "k22")]
             )
             assert np.array_equal(np.sort(parts), np.sort(entry.weights.ravel()))
+
+    def test_sub_kernels_are_views_of_the_naive_kernel(self):
+        graph = build_model(preset("lite-upconv", input_h=64, input_w=64, width_div=16))
+        weights = random_weights(graph, seed=6)
+        fast = split_container(weights)
+        naive = [name for name in weights.names() if name.endswith(".up5x5")]
+        assert naive
+        for name in naive:
+            kernel, base = weights[name].weights, name[: -len(".up5x5")]
+            for key, (r, c, _, _) in BRANCHES.items():
+                sub = fast[f"{base}.{key}"].weights
+                assert np.shares_memory(sub, kernel)
+                assert np.array_equal(sub, kernel[r::2, c::2])
+
+    def test_split_peak_memory_is_far_below_kernel_bytes(self):
+        # the sub-kernels are views, so splitting allocates only the new entries
+        graph = build_model(preset("lite-upconv", input_h=240, input_w=320, width_div=4))
+        weights = random_weights(graph, seed=0)
+        kernel_bytes = sum(e.weights.nbytes for e in weights.entries.values()
+                           if isinstance(e, ConvKernel))
+        tracemalloc.start()
+        try:
+            split_container(weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * kernel_bytes, (peak, kernel_bytes)
 
     def test_converting_fast_container_fails(self):
         graph = build_model(preset("lite-upconv-fast", input_h=64, input_w=64, width_div=16))
