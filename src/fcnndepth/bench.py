@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import upconv
-from .models import ModelSpec, build_model, graph_macs, infer, random_weights
+from .models import ModelSpec, block_graph, build_model, graph_macs, infer, random_weights
 from .tensor import Tensor4
 
 MIN_ITERS = 10
@@ -87,6 +87,14 @@ def environment() -> dict:
     }
 
 
+def _time_graph(
+    name: str, resolution: str, graph, weights, x: Tensor4, iters: int, warmup: int
+) -> TargetReport:
+    """Time infer of one graph on x; its MACs are graph_macs of the same graph."""
+    stats = time_callable(lambda: infer(graph, weights, x), warmup, iters)
+    return TargetReport(name, resolution, warmup, iters, macs=graph_macs(graph), **stats)
+
+
 def bench_model(
     spec: ModelSpec, name: str, iters: int, warmup: int = DEFAULT_WARMUP, seed: int = 0
 ) -> TargetReport:
@@ -95,15 +103,8 @@ def bench_model(
     weights = random_weights(graph, seed)
     rng = np.random.default_rng(seed)
     image = Tensor4(rng.random((1, spec.input_h, spec.input_w, 3)).astype(np.float32))
-    stats = time_callable(lambda: infer(graph, weights, image), warmup, iters)
-    return TargetReport(
-        name=name,
-        resolution=f"{spec.input_w}x{spec.input_h}",
-        warmup=warmup,
-        iters=iters,
-        macs=graph_macs(graph),
-        **stats,
-    )
+    resolution = f"{spec.input_w}x{spec.input_h}"
+    return _time_graph(name, resolution, graph, weights, image, iters, warmup)
 
 
 def bench_block(
@@ -120,19 +121,7 @@ def bench_block(
     rng = np.random.default_rng(seed)
     x = Tensor4(rng.standard_normal((1, h, w, cin)).astype(np.float32))
     weights = upconv.random_upconv_weights(cin, cout, rng)
-    if kind == "upconv_naive":
-        fn = lambda: upconv.upconv_block_naive(x, weights)
-        macs = upconv.naive_block_macs(h, w, cin, cout)
-    else:
-        split = upconv.split_weights_5x5(weights)
-        fn = lambda: upconv.upconv_block_fast(x, split)
-        macs = upconv.fast_block_macs(h, w, cin, cout)
-    stats = time_callable(fn, warmup, iters)
-    return TargetReport(
-        name=kind,
-        resolution=f"{w}x{h}x{cin}->{cout}",
-        warmup=warmup,
-        iters=iters,
-        macs=macs,
-        **stats,
-    )
+    if kind == "upconv_fast":
+        weights = upconv.split_weights_5x5(weights)
+    graph = block_graph(kind, h, w, cin, cout)
+    return _time_graph(kind, f"{w}x{h}x{cin}->{cout}", graph, weights, x, iters, warmup)

@@ -82,8 +82,7 @@ def cmd_bench(args) -> int:
             benchmod.bench_block(kind, h, w, cin, cout, args.iters, args.warmup, args.seed)
         )
     if not targets:
-        _say("error: nothing to benchmark; pass --model and/or --block")
-        return 2
+        raise ValueError("nothing to benchmark; pass --model and/or --block")
     for t in targets:
         _say(f"{t.name:24s} {t.resolution:>16s}  mean {t.mean_s * 1e3:9.2f} ms  "
              f"min {t.min_s * 1e3:9.2f} ms  p95 {t.p95_s * 1e3:9.2f} ms  macs {t.macs}")
@@ -96,6 +95,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
     rng = np.random.default_rng(args.seeds)
     worst_ilv = 0.0
     for _ in range(args.seeds):
@@ -144,16 +145,14 @@ def cmd_eval(args) -> int:
     if not pred_files or pred_files.keys() != gt_files.keys():
         only_pred = sorted(pred_files.keys() - gt_files.keys())
         only_gt = sorted(gt_files.keys() - pred_files.keys())
-        _say(f"error: prediction/ground-truth sets differ "
-             f"(only in pred: {only_pred}, only in gt: {only_gt})")
-        return 2
+        raise ValueError(f"prediction/ground-truth sets differ "
+                         f"(only in pred: {only_pred}, only in gt: {only_gt})")
     preds, gts = [], []
     for name in sorted(pred_files):
         p = read_depth_raster(pred_files[name])
         g = read_depth_raster(gt_files[name])
         if p.shape != g.shape:
-            _say(f"error: {name}: shape mismatch {p.shape} vs {g.shape}")
-            return 2
+            raise ValueError(f"{name}: shape mismatch {p.shape} vs {g.shape}")
         preds.append(p.ravel())
         gts.append(g.ravel())
     pred = Tensor4(np.concatenate(preds)[None, :, None, None])
@@ -245,9 +244,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "verify" and args.seeds < 1:
-        _say("error: --seeds must be >= 1")
-        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -11,6 +11,7 @@ rasters use a minimal little-endian format:
 """
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -87,28 +88,33 @@ def write_depth_raster(path, depth: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise FileFormatError("depth raster contains non-finite values")
     h, w = arr.shape
-    header = DEPTH_MAGIC + bytes([DEPTH_VERSION]) + struct.pack("<II", w, h)
-    Path(path).write_bytes(header + arr.astype("<f4").tobytes())
+    with open(path, "wb") as f:
+        f.write(DEPTH_MAGIC + bytes([DEPTH_VERSION]) + struct.pack("<II", w, h))
+        f.write(np.ascontiguousarray(arr, dtype="<f4").data)
 
 
 def read_depth_raster(path) -> np.ndarray:
     """Read a depth raster back into a non-empty (h, w) float32 array; all values must be finite."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 13:
-        raise FileFormatError(f"{path}: too short for a depth raster header")
-    if blob[:4] != DEPTH_MAGIC:
-        raise FileFormatError(f"{path}: bad magic, not a depth raster")
-    if blob[4] != DEPTH_VERSION:
-        raise FileFormatError(f"{path}: unsupported version {blob[4]}")
-    w, h = struct.unpack("<II", blob[5:13])
-    if w == 0 or h == 0:
-        raise FileFormatError(f"{path}: empty raster, header says {w}x{h} values")
-    expected = 13 + 4 * w * h
-    if len(blob) != expected:
-        raise FileFormatError(
-            f"{path}: size mismatch ({len(blob)} bytes, header implies {expected})"
-        )
-    depth = np.frombuffer(blob[13:], dtype="<f4").reshape(h, w).astype(np.float32)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(13)
+        if size < 13:
+            raise FileFormatError(f"{path}: too short for a depth raster header")
+        if head[:4] != DEPTH_MAGIC:
+            raise FileFormatError(f"{path}: bad magic, not a depth raster")
+        if head[4] != DEPTH_VERSION:
+            raise FileFormatError(f"{path}: unsupported version {head[4]}")
+        w, h = struct.unpack("<II", head[5:13])
+        if w == 0 or h == 0:
+            raise FileFormatError(f"{path}: empty raster, header says {w}x{h} values")
+        expected = 13 + 4 * w * h
+        if size != expected:
+            raise FileFormatError(
+                f"{path}: size mismatch ({size} bytes, header implies {expected})"
+            )
+        depth = np.empty((h, w), dtype="<f4")
+        f.readinto(depth)  # straight into the array: a read holds one copy
+    depth = depth.astype(np.float32, copy=False)  # native byte order
     if not np.isfinite(depth).all():
         row, col = np.argwhere(~np.isfinite(depth))[0]
         raise FileFormatError(

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .metrics import valid_pixels
 from .tensor import Tensor4
 
 # Lower clamp for the adaptive threshold so it can never reach zero.
@@ -37,17 +38,10 @@ class AdaptiveBerHuState:
 
 
 def _validated(prediction: Tensor4, truth: Tensor4):
-    if prediction.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {prediction.shape} vs {truth.shape}")
-    if prediction.c != 1:
+    # valid_pixels checks the shapes; a mismatch is reported before the channels
+    if prediction.shape == truth.shape and prediction.c != 1:
         raise ValueError(f"depth maps must have one channel, got {prediction.c}")
-    p = prediction.data.astype(np.float64)
-    t = truth.data.astype(np.float64)
-    mask = t > 0
-    count = int(mask.sum())
-    if count == 0:
-        raise ValueError("no valid pixels: ground truth is nonpositive everywhere")
-    return p, t, mask, count
+    return valid_pixels(prediction, truth)
 
 
 def _as_grad(grad64: np.ndarray, prediction: Tensor4) -> Tensor4:

@@ -7,7 +7,7 @@ accumulation order and match a per-pixel reference bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,13 +32,20 @@ class MetricsReport:
     delta3: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "mse": self.mse,
-            "rel": self.rel,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "delta3": self.delta3,
-        }
+        return asdict(self)
+
+
+def valid_pixels(prediction: Tensor4, truth: Tensor4):
+    """Both maps in float64, the mask truth > 0 and its count, which must not be 0."""
+    if prediction.shape != truth.shape:
+        raise ValueError(f"shape mismatch: {prediction.shape} vs {truth.shape}")
+    p = prediction.data.astype(np.float64)
+    t = truth.data.astype(np.float64)
+    mask = t > 0
+    count = int(mask.sum())
+    if count == 0:
+        raise ValueError("no valid pixels: ground truth is nonpositive everywhere")
+    return p, t, mask, count
 
 
 def compute_metrics(prediction: Tensor4, truth: Tensor4) -> MetricsReport:
@@ -47,14 +54,7 @@ def compute_metrics(prediction: Tensor4, truth: Tensor4) -> MetricsReport:
     Nonpositive predictions make their pixel fail every threshold (the
     ratio is treated as infinite) but still count toward mse and rel.
     """
-    if prediction.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {prediction.shape} vs {truth.shape}")
-    p = prediction.data.astype(np.float64).ravel()
-    t = truth.data.astype(np.float64).ravel()
-    mask = t > 0
-    count = int(mask.sum())
-    if count == 0:
-        raise ValueError("no valid pixels: ground truth is nonpositive everywhere")
+    p, t, mask, count = valid_pixels(prediction, truth)
     p, t = p[mask], t[mask]
     e = t - p
     mse = math.fsum(e * e) / count

@@ -59,14 +59,7 @@ PRESETS = {
     "lite-upconv": ("lite_basic", "upconv_naive", "none"),
     "lite-upconv-fast": ("lite_basic", "upconv_fast", "none"),
 }
-EVALUATED_PRESETS = (
-    "basic-deconv",
-    "basic-sc-deconv",
-    "basic-sc-nonbt",
-    "lite-sc-nonbt",
-    "basic-sc-upconv",
-    "lite-upconv",
-)
+EVALUATED_PRESETS = tuple(name for name, (_, dec, _) in PRESETS.items() if dec != "upconv_fast")
 
 
 @dataclass(frozen=True)

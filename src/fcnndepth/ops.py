@@ -13,12 +13,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import BatchNormParams, ConvKernel, Tensor4
 
-def _check_operands(x: Tensor4, kernel: ConvKernel) -> None:
+def _check_operands(x: Tensor4, kernel: ConvKernel, stride: int) -> None:
     if x.c != kernel.cin:
         raise ValueError(
             f"input has {x.c} channels but kernel expects {kernel.cin}"
         )
     _check_dtype(x, kernel.weights)
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
 
 
 def _check_dtype(x: Tensor4, other) -> None:
@@ -55,9 +57,7 @@ def conv2d_padded(
     K = 3 each GEMM is too thin, and 49 of them took 62 ms at 320x240
     against 9.8 ms for the window copy.
     """
-    _check_operands(x, kernel)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    _check_operands(x, kernel, stride)
     if min(pads) < 0:
         raise ValueError(f"padding must be nonnegative, got {pads}")
     padded = _pad(x.data, pads)
@@ -184,9 +184,7 @@ def deconv2d(x: Tensor4, kernel: ConvKernel, stride: int = 2) -> Tensor4:
     copies neither the kernel nor the input beyond its padding. A phase with
     no taps (only when k < stride) holds the bias alone.
     """
-    _check_operands(x, kernel)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    _check_operands(x, kernel, stride)
     n, h, w, _ = x.shape
     kh, kw = kernel.kh, kernel.kw
     rows = [phase_split(kh, stride, kh - 1 - max(kh - stride, 0) // 2, r) for r in range(stride)]

@@ -151,6 +151,11 @@ def _read_record(r: _Reader, entries: dict[str, ConvKernel | BatchNormParams]) -
             raise WeightFormatError(
                 f"batch-norm record {name!r} must have dims (5, c >= 1), got {dims}"
             )
+        eps = data[4].view(np.uint32)  # compared bit for bit, so a NaN replica differs too
+        i = int(np.argmax(eps != eps[0]))  # the first replica that differs, or 0
+        if i:
+            raise WeightFormatError(f"batch-norm record {name!r}: eps row holds "
+                                    f"{data[4, i]} at channel {i}, not {data[4, 0]}")
         entries[name] = BatchNormParams(*data[:4], eps=float(data[4, 0]))
     else:
         raise WeightFormatError(f"unknown record kind {kind} for {name!r}")

@@ -91,8 +91,9 @@ class TestVerifyCommand:
         assert main(["verify", "--seeds", "3", "--inject-fault"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_seed_validation(self):
+    def test_seed_validation(self, capsys):
         assert main(["verify", "--seeds", "0"]) == 2
+        assert capsys.readouterr().err == "error: --seeds must be >= 1\n"
 
 
 class TestEvalCommand:
@@ -161,7 +162,19 @@ class TestEvalCommand:
         pred = tmp_path / "pred"
         generate_corpus(pred, 3, 8, 8, seed=0)
         assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
-        assert "differ" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: prediction/ground-truth sets differ "
+            "(only in pred: ['scene_0002.dpth'], only in gt: [])\n")
+
+    def test_shape_mismatch_exits_2_naming_file(self, tmp_path, capsys):
+        gt = tmp_path / "gt"
+        generate_corpus(gt, 2, 8, 8, seed=0)
+        pred = tmp_path / "pred"
+        generate_corpus(pred, 2, 16, 8, seed=0)
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scene_0000.dpth: shape mismatch (8, 16) vs (8, 8)\n"
 
 
 class TestGenSyntheticCommand:
@@ -268,5 +281,8 @@ class TestBenchCommand:
     def test_too_few_iters_rejected(self, capsys):
         assert main(["bench", "--block", "upconv_fast", "--iters", "3"]) == 2
 
-    def test_no_targets_rejected(self):
+    def test_no_targets_rejected(self, capsys):
         assert main(["bench"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: nothing to benchmark; pass --model and/or --block\n"

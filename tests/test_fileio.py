@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,25 @@ class TestDepthRaster:
         path.write_bytes(blob[:-4])
         with pytest.raises(FileFormatError, match="size"):
             read_depth_raster(path)
+
+
+@pytest.mark.parametrize("op, bound", [("read", 1.5), ("write", 0.5)])
+def test_depth_raster_io_holds_one_copy(tmp_path, op, bound):
+    # 480x640 float32 values: a read holds its array and the finite mask, a
+    # write only the mask, never a bytes copy of the values
+    depth = np.random.default_rng(2).uniform(0.5, 9.0, (480, 640)).astype(np.float32)
+    path = tmp_path / "d.dpth"
+    write_depth_raster(path, depth)
+    tracemalloc.start()
+    try:
+        if op == "read":
+            read_depth_raster(path)
+        else:
+            write_depth_raster(path, depth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * depth.nbytes
 
 
 @pytest.mark.parametrize("reader", ["ppm", "dpth"])

@@ -69,6 +69,22 @@ class TestMseRelLoss:
         with pytest.raises(ValueError, match="valid"):
             mse_rel_loss(pred, truth)
 
+    @pytest.mark.parametrize("loss", [
+        mse_rel_loss,
+        lambda p, t: berhu_loss(p, t, 1.0),
+        lambda p, t: aberhu_step(p, t, AdaptiveBerHuState()),
+    ], ids=["mse_rel", "berhu", "aberhu_step"])
+    def test_shape_mismatch_rejected(self, loss):
+        pred, truth = as_pair(np.ones((1, 2, 2, 1)), np.ones((1, 2, 3, 1)))
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(1, 2, 2, 1\) vs \(1, 2, 3, 1\)$"):
+            loss(pred, truth)
+
+    def test_channel_check_precedes_valid_pixel_check(self):
+        # two channels and no valid pixel: the channel count is reported
+        pred, truth = as_pair(np.ones((1, 2, 2, 2)), np.zeros((1, 2, 2, 2)))
+        with pytest.raises(ValueError, match="^depth maps must have one channel, got 2$"):
+            mse_rel_loss(pred, truth)
+
     def test_bad_alphas_rejected(self):
         pred, truth = single_pixel(1.0, 2.0)
         with pytest.raises(ValueError, match="nonnegative"):

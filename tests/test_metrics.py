@@ -69,3 +69,7 @@ class TestComputeMetrics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             compute_metrics(Tensor4.zeros(1, 2, 2, 1), Tensor4.zeros(1, 2, 3, 1))
+
+    def test_report_keys_in_field_order(self):
+        report = compute_metrics(*as_pair([1.0, 2.0], [1.0, 3.0]))
+        assert list(report.as_dict()) == ["mse", "rel", "delta1", "delta2", "delta3"]

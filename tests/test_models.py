@@ -51,6 +51,12 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="width_div"):
             ModelSpec("basic", "deconv", "none", width_div=7)
 
+    def test_evaluated_presets_are_the_six_without_fast_aliases(self):
+        assert EVALUATED_PRESETS == (
+            "basic-deconv", "basic-sc-deconv", "basic-sc-nonbt",
+            "lite-sc-nonbt", "basic-sc-upconv", "lite-upconv",
+        )
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="preset"):
             preset("basic-bilinear")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fcnndepth import ops
+from fcnndepth.bench import bench_block
 from fcnndepth.models import block_graph, infer
 from fcnndepth.ops import BRANCHES
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
@@ -292,6 +293,14 @@ class TestMacCounts:
     def test_expected_ratio(self):
         # 25 taps on the 4x-sparse grid vs 25 dense taps at quarter the pixels
         assert naive_block_macs(8, 8, 4, 4) == 4 * fast_block_macs(8, 8, 4, 4)
+
+    @pytest.mark.parametrize("kind, macs", [
+        ("upconv_naive", naive_block_macs), ("upconv_fast", fast_block_macs),
+    ])
+    def test_bench_block_reports_block_macs(self, kind, macs):
+        report = bench_block(kind, 3, 5, 2, 7, iters=10, warmup=0)
+        assert (report.name, report.resolution) == (kind, "5x3x2->7")
+        assert report.macs == macs(3, 5, 2, 7)
 
     @pytest.mark.parametrize("h, w, cin, cout", [(1, 1, 1, 1), (3, 5, 2, 7), (16, 16, 256, 128)])
     def test_closed_forms(self, h, w, cin, cout):

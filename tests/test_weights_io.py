@@ -220,6 +220,26 @@ class TestFormatErrors:
                            match=f"record at byte offset {offset}: variance has non-finite"):
             load_weights(path)
 
+    @pytest.mark.parametrize("replica", [np.nan, 0.5])
+    def test_eps_row_of_two_values_names_record_offset(self, container, tmp_path, replica):
+        # an eps row stores one value replicated; a NaN or a differing finite
+        # replica is a malformed record, not a value to ignore
+        head = WeightContainer({"head.conv": container["head.conv"]})
+        path = tmp_path / "w.fcnw"
+        save_weights(head, path)
+        offset = path.stat().st_size  # the bn record follows the kernel record
+        save_weights(WeightContainer({**head.entries, "bn": container["stem.bn"]}), path)
+        blob = bytearray(path.read_bytes())
+        # eps[2] follows the bn record's u16 length, "bn", kind, rank, dims
+        # (5, 8), the four rows of 8 and eps[0], eps[1]
+        pos = offset + 2 + 2 + 2 + 8 + 4 * 8 * 4 + 4 * 2
+        blob[pos : pos + 4] = np.float32(replica).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightFormatError, match=(
+                f"record at byte offset {offset}: batch-norm record 'bn': "
+                f"eps row holds {replica} at channel 2")):
+            load_weights(path)
+
     def test_mutated_files_raise_only_format_errors(self, tmp_path):
         # seeded truncations, byte overwrites and random tails of a small
         # preset file: each either loads or raises WeightFormatError whose
