@@ -8,6 +8,7 @@ document on stdout; human-readable progress goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -178,6 +179,7 @@ def cmd_convert(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fcnndepth",

@@ -57,8 +57,9 @@ def compute_metrics(prediction: Tensor4, truth: Tensor4) -> MetricsReport:
     p, t, mask, count = valid_pixels(prediction, truth)
     p, t = p[mask], t[mask]
     e = t - p
-    mse = math.fsum(e * e) / count
-    rel = math.fsum(np.abs(e) / t) / count
+    # a memoryview feeds fsum Python floats: no numpy scalars, no .tolist() list
+    mse = math.fsum(memoryview(e * e)) / count
+    rel = math.fsum(memoryview(np.abs(e) / t)) / count
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(p > 0, np.maximum(t / p, p / t), np.inf)
     deltas = [

@@ -186,13 +186,15 @@ class Op:
     layer attributes, the input tensors and the weight entry to the output.
     `weight` is the entry the layer needs: "conv" (a ConvKernel),
     "batchnorm" (BatchNormParams) or None. `macs` counts one image's
-    multiply-accumulates.
+    multiply-accumulates. An `in_place` kind's run also takes `out`, an
+    array to write its output into (infer passes a dead first input's).
     """
 
     shape: Callable[[list[tuple[int, int, int, int]], dict], tuple[int, int, int, int]]
-    run: Callable[[dict, list[Tensor4], ConvKernel | BatchNormParams | None], Tensor4]
+    run: Callable[..., Tensor4]
     weight: str | None = None
     macs: Callable[[Layer], int] = lambda layer: 0
+    in_place: bool = False
 
 
 # The run functions look up `ops.<kernel>` and `interleave4` when called, so
@@ -205,13 +207,15 @@ OPS: dict[str, Op] = {
     # convolutions execute exactly this many
     "deconv": Op(_deconv_shape, lambda a, xs, w: ops.deconv2d(xs[0], w, a["stride"]),
                  "conv", lambda layer: _conv_macs(layer) // layer.attrs["stride"] ** 2),
-    "bn": Op(lambda shapes, a: shapes[0], lambda a, xs, w: ops.batchnorm_infer(xs[0], w),
-             "batchnorm"),
-    "relu": Op(lambda shapes, a: shapes[0], lambda a, xs, w: ops.relu(xs[0])),
+    "bn": Op(lambda shapes, a: shapes[0],
+             lambda a, xs, w, out=None: ops.batchnorm_infer(xs[0], w, out),
+             "batchnorm", in_place=True),
+    "relu": Op(lambda shapes, a: shapes[0], lambda a, xs, w, out=None: ops.relu(xs[0], out),
+               in_place=True),
     "maxpool2": Op(_pool_shape, lambda a, xs, w: ops.maxpool2(xs[0])),
     "nearest_up2": Op(_up2_shape, lambda a, xs, w: ops.nearest_up2(xs[0])),
     "unpool_zero2": Op(_up2_shape, lambda a, xs, w: ops.unpool_zero2(xs[0])),
-    "add": Op(_add_shape, lambda a, xs, w: ops.add(xs[0], xs[1])),
+    "add": Op(_add_shape, lambda a, xs, w, out=None: ops.add(xs[0], xs[1], out), in_place=True),
     "interleave4": Op(_interleave_shape, lambda a, xs, w: interleave4(*xs)),
     "crop": Op(_crop_shape,
                lambda a, xs, w: Tensor4(xs[0].data[:, : a["target_h"], : a["target_w"]])),
@@ -492,9 +496,16 @@ def infer(graph: LayerGraph, weights, image: Tensor4) -> Tensor4:
     last_use = {src: i for i, layer in enumerate(graph.layers) for src in layer.inputs}
     acts: dict[str, Tensor4] = {"image": image}
     for i, layer in enumerate(graph.layers):
-        weight = weights[layer.name] if OPS[layer.kind].weight else None
+        op, xs, first = OPS[layer.kind], [acts[s] for s in layer.inputs], layer.inputs[0]
+        weight = weights[layer.name] if op.weight else None
+        # An in-place kind overwrites its first input when that dies here and
+        # is neither the caller's image, the graph output nor another input.
+        # Only crop makes views, and its source dies at the crop, so no live
+        # activation shares the overwritten buffer.
+        overwrite = (op.in_place and last_use[first] == i
+                     and first not in ("image", graph.output) and layer.inputs.count(first) == 1)
         try:
-            out = OPS[layer.kind].run(layer.attrs, [acts[s] for s in layer.inputs], weight)
+            out = op.run(layer.attrs, xs, weight, **({"out": xs[0].data} if overwrite else {}))
         except ValueError as err:
             raise ValueError(f"layer {layer.name!r}: {err}") from None
         if out.shape != (image.n,) + layer.out_shape[1:]:

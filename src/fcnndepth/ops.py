@@ -2,7 +2,9 @@
 activation, normalization, and 2x resampling.
 
 All operations are pure functions: they never modify their inputs and the
-same inputs always produce bit-identical outputs. Operands share one dtype,
+same inputs always produce bit-identical outputs. The exception is the
+numpy-style `out` of relu, batchnorm_infer and add: they write the same bits
+into it, which may be their first input's array. Operands share one dtype,
 which the output keeps. "Convolution" means cross-correlation (no kernel
 flip), the usual deep-learning convention.
 """
@@ -204,20 +206,23 @@ def deconv2d(x: Tensor4, kernel: ConvKernel, stride: int = 2) -> Tensor4:
     return Tensor4(out)
 
 
-def relu(x: Tensor4) -> Tensor4:
-    """Elementwise max(0, x)."""
-    return Tensor4(np.maximum(x.data, 0))
+def relu(x: Tensor4, out: np.ndarray | None = None) -> Tensor4:
+    """Elementwise max(0, x), written into `out` when given."""
+    return Tensor4(np.maximum(x.data, 0, out=out))
 
 
-def batchnorm_infer(x: Tensor4, params: BatchNormParams) -> Tensor4:
-    """Per-channel normalization with frozen statistics."""
+def batchnorm_infer(x: Tensor4, params: BatchNormParams, out: np.ndarray | None = None) -> Tensor4:
+    """Per-channel normalization with frozen statistics, written into `out` when given."""
     if params.channels != x.c:
         raise ValueError(
             f"batchnorm has {params.channels} channels but input has {x.c}"
         )
     _check_dtype(x, params.mean)
     scale = params.gamma / np.sqrt(params.variance + params.eps)
-    return Tensor4((x.data - params.mean) * scale + params.beta)
+    y = np.subtract(x.data, params.mean, out=out)
+    y *= scale
+    y += params.beta
+    return Tensor4(y)
 
 
 def maxpool2(x: Tensor4) -> Tensor4:
@@ -241,9 +246,9 @@ def unpool_zero2(x: Tensor4) -> Tensor4:
     return Tensor4(out)
 
 
-def add(a: Tensor4, b: Tensor4) -> Tensor4:
-    """Elementwise sum of two identically shaped tensors."""
+def add(a: Tensor4, b: Tensor4, out: np.ndarray | None = None) -> Tensor4:
+    """Elementwise sum of two identically shaped tensors, written into `out` when given."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     _check_dtype(a, b)
-    return Tensor4(a.data + b.data)
+    return Tensor4(np.add(a.data, b.data, out=out))

@@ -22,7 +22,8 @@ class Tensor4:
 
     Data is float32 or float64, kept as given (never cast or copied), and
     ``data.ravel()`` lists element (n, h, w, c) at ((n * H + h) * W + w) * C + c.
-    Kernels treat tensors as immutable values and never write into their inputs.
+    Kernels treat tensors as immutable values and never write into their
+    inputs, except into an array passed as `out` (see ops).
     """
 
     data: np.ndarray

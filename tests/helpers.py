@@ -2,11 +2,14 @@
 
 Everything here is deliberately written as plain scalar loops (or exact
 compensated sums), sharing no code path with the vectorized kernels under
-test. The one exception is `deconv2d_stuffed_ref`, the zero-stuffed form of
-``ops.deconv2d``: it runs through ``ops.conv2d_padded`` (itself checked
-against `conv2d_loop_ref`), so its float32 GEMMs round like the phase
-split's and the two can be compared bit for bit. `mutations` generates the
-damaged files that the file-format tests feed to their readers.
+test. There are two exceptions. `deconv2d_stuffed_ref`, the zero-stuffed
+form of ``ops.deconv2d``, runs through ``ops.conv2d_padded`` (itself
+checked against `conv2d_loop_ref`), so its float32 GEMMs round like the
+phase split's and the two can be compared bit for bit. `infer_ref` runs
+each layer's own kernel from the ``OPS`` table, so it checks only what
+``models.infer`` adds: the wiring and the buffers it writes in place.
+`mutations` generates the damaged files that the file-format tests feed to
+their readers.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import math
 import numpy as np
 
 from fcnndepth import ops
+from fcnndepth.models import OPS
 from fcnndepth.tensor import ConvKernel, Tensor4
 
 
@@ -103,6 +107,19 @@ def deconv2d_stuffed_ref(x: Tensor4, kernel: ConvKernel, stride: int) -> Tensor4
         stride=1,
         pads=(kh - 1 - ct, ct + stride - 1, kw - 1 - cl, cl + stride - 1),
     )
+
+
+def infer_ref(graph, weights, image: Tensor4) -> Tensor4:
+    """``models.infer`` layer by layer, every run called without `out`, every activation kept.
+
+    Checks nothing and casts nothing: the image must be in the weights' dtype.
+    """
+    acts = {"image": image}
+    for layer in graph.layers:
+        weight = weights[layer.name] if OPS[layer.kind].weight else None
+        acts[layer.name] = OPS[layer.kind].run(
+            layer.attrs, [acts[s] for s in layer.inputs], weight)
+    return acts[graph.output]
 
 
 def metrics_scalar_ref(pred: np.ndarray, truth: np.ndarray) -> dict[str, float]:

@@ -79,6 +79,19 @@ class TestInferCommand:
     def test_usage_error_exits_2(self):
         assert main(["infer", "--model", "not-a-preset"]) == 2
 
+    def test_calls_in_a_row_get_their_own_arguments(self, workspace, tmp_path, capsys):
+        infer_args = ["infer", "--model", "lite-upconv", "--weights", str(workspace["weights_path"]),
+                      "--input", str(workspace["image_path"])]
+        assert main(infer_args + ["--width-div", "16", "--output", str(tmp_path / "a.dpth")]) == 0
+        assert main(["gen-synthetic", "--count", "1", "--resolution", "8x8",
+                     "--out", str(tmp_path / "syn"), "--seed", "3"]) == 0
+        assert sorted(p.name for p in (tmp_path / "syn").iterdir()) == [
+            "scene_0000.dpth", "scene_0000.ppm"]
+        # --width-div is back at its default 8, which the width /16 weights do not fit
+        assert main(infer_args + ["--output", str(tmp_path / "b.dpth")]) == 2
+        assert "kernel shape" in capsys.readouterr().err
+        assert not (tmp_path / "b.dpth").exists()
+
 
 class TestVerifyCommand:
     def test_passes_and_reports(self, capsys):

@@ -13,6 +13,8 @@ from fcnndepth.models import (
     EVALUATED_PRESETS,
     OPS,
     PRESETS,
+    Layer,
+    LayerGraph,
     ModelSpec,
     block_graph,
     build_model,
@@ -27,6 +29,7 @@ from fcnndepth.models import (
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
 from fcnndepth.upconv import fast_block_macs, naive_block_macs
 from fcnndepth.weights_io import WeightContainer, split_container
+from helpers import infer_ref
 
 
 def rand_image(h, w, seed=0, n=1):
@@ -432,6 +435,69 @@ class TestOpTable:
             for e in weights.entries.values()
         )
         assert peak < 1.3 * total
+
+
+def weight_arrays(weights):
+    return [a for e in weights.entries.values() for a in vars(e).values()
+            if isinstance(a, np.ndarray)]
+
+
+class TestInPlaceOracle:
+    """infer writes bn, relu and add into dead inputs; a pure layer-by-layer run must agree."""
+
+    @staticmethod
+    def check(graph, weights, image):
+        image_before = image.data.copy()
+        weights_before = [a.copy() for a in weight_arrays(weights)]
+        out = infer(graph, weights, image)
+        ref = infer_ref(graph, weights, image)
+        assert out.dtype == ref.dtype
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert infer(graph, weights, image).data.tobytes() == out.data.tobytes()
+        assert np.array_equal(image.data, image_before)
+        assert all(np.array_equal(a, b) for a, b in zip(weight_arrays(weights), weights_before))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h,w,div", [(64, 64, 8), (48, 96, 16)])
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_matches_pure_reference(self, name, h, w, div, dtype):
+        graph = build_model(preset(name, input_h=h, input_w=w, width_div=div))
+        image = Tensor4(rand_image(h, w, seed=21).data.astype(dtype))
+        self.check(graph, random_weights(graph, seed=22, dtype=dtype), image)
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_block_matches_pure_reference(self, decoder):
+        graph = block_graph(decoder, 6, 8, 8, 4)
+        image = Tensor4(np.random.default_rng(23).standard_normal((1, 6, 8, 8), np.float32))
+        self.check(graph, random_weights(graph, seed=24), image)
+
+    def test_overwrites_only_dead_inputs(self):
+        # Each in-place layer here has a first input that must survive it:
+        # "image" is the caller's, "a" feeds the add after "b", and the output
+        # "c" feeds "d". Preset graphs never have one: their in-place layers
+        # all follow a layer whose output has no other use.
+        shape = (1, 4, 4, 2)
+        image = Tensor4(np.random.default_rng(25).standard_normal(shape, np.float32))
+        layers = (Layer("a", "relu", ("image",), shape),
+                  Layer("b", "bn", ("a",), shape),
+                  Layer("c", "add", ("a", "b"), shape),
+                  Layer("d", "relu", ("c",), shape))
+        graph = LayerGraph(shape, layers, output="c", bottleneck="image")
+        bn = BatchNormParams(*(np.array(v, np.float32) for v in ([0.5, 1], [1, 2], [1, 2], [-1, 0])))
+        self.check(graph, WeightContainer({"b": bn}), image)
+        assert infer(graph, WeightContainer({"b": bn}), image).data.min() < 0
+
+    def test_crop_sources_die_at_the_crop(self):
+        # crops make the only views in infer, so a dead input's buffer is no live one's
+        crops = 0
+        for name in PRESETS:
+            graph = build_model(preset(name, input_h=48, input_w=96, width_div=16))
+            last_use = {src: i for i, layer in enumerate(graph.layers) for src in layer.inputs}
+            for i, layer in enumerate(graph.layers):
+                if layer.kind == "crop":
+                    crops += 1
+                    assert layer.inputs[0] != "image" and last_use[layer.inputs[0]] == i
+        assert crops
 
 
 # tracemalloc peaks of infer at 480x640, width /8, random_weights seed 0, when

@@ -483,3 +483,45 @@ class TestAdd:
         rng = np.random.default_rng(18)
         a, b = rand_tensor(rng, (1, 3, 3, 2), a_dtype), rand_tensor(rng, (1, 3, 3, 2), b_dtype)
         assert_one_dtype(lambda: ops.add(a, b), a_dtype, b_dtype)
+
+
+# The elementwise kernels that infer runs in place, each as f(x, y, params, **out).
+ELEMENTWISE = {
+    "relu": lambda x, y, p, **kw: ops.relu(x, **kw),
+    "batchnorm_infer": lambda x, y, p, **kw: ops.batchnorm_infer(x, p, **kw),
+    "add": lambda x, y, p, **kw: ops.add(x, y, **kw),
+}
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("kind", ELEMENTWISE)
+class TestOutArgument:
+    @staticmethod
+    def operands(dtype, view):
+        rng = np.random.default_rng(19)
+        # a view, like the cropped accumulation buffer a conv returns
+        x = rand_tensor(rng, (2, 6, 7, 3), dtype)
+        x = Tensor4(x.data[:, 1:5, :5]) if view else x
+        y = rand_tensor(rng, x.shape, dtype)
+        p = BatchNormParams(*(rng.uniform(0.5, 1.5, 3).astype(dtype) for _ in range(4)))
+        return x, y, p
+
+    def test_pure_and_deterministic_without_out(self, kind, dtype):
+        x, y, p = self.operands(dtype, view=False)
+        before = x.data.copy(), y.data.copy()
+        a = ELEMENTWISE[kind](x, y, p)
+        b = ELEMENTWISE[kind](x, y, p)
+        assert a.data.tobytes() == b.data.tobytes()
+        assert not np.shares_memory(a.data, x.data)
+        assert np.array_equal(x.data, before[0]) and np.array_equal(y.data, before[1])
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_out_first_input_gives_the_same_bits(self, kind, dtype, view):
+        x, y, p = self.operands(dtype, view)
+        pure = ELEMENTWISE[kind](x, y, p)
+        y_before = y.data.copy()
+        got = ELEMENTWISE[kind](x, y, p, out=x.data)
+        assert np.shares_memory(got.data, x.data)
+        assert got.dtype == pure.dtype
+        assert got.data.tobytes() == pure.data.tobytes()
+        assert np.array_equal(y.data, y_before)
