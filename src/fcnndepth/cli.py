@@ -20,7 +20,7 @@ from . import synthetic
 from .fileio import image_to_tensor, read_depth_raster, read_ppm, write_depth_raster
 from .interleave import interleave4, interleave4_reference
 from .metrics import compute_metrics
-from .models import PRESETS, build_model, infer, preset
+from .models import DECODERS, PRESETS, build_model, infer, preset
 from .tensor import Tensor4
 from .upconv import verify_equivalence
 from .weights_io import load_weights, save_weights, split_container
@@ -34,26 +34,21 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _resolution(text: str) -> tuple[int, int]:
-    """Parse 'WxH' into (width, height)."""
-    try:
-        w, h = (int(part) for part in text.lower().split("x"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
-    if w < 1 or h < 1:
-        raise argparse.ArgumentTypeError(f"resolution must be positive, got {text!r}")
-    return w, h
+def _positive_pair(sep: str, form: str, what: str):
+    """An argparse type for two positive ints joined by `sep`, as in `form`."""
+    def parse(text: str) -> tuple[int, int]:
+        try:
+            a, b = (int(part) for part in text.lower().split(sep))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+        if a < 1 or b < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be positive, got {text!r}")
+        return a, b
+    return parse
 
 
-def _channels(text: str) -> tuple[int, int]:
-    """Parse 'CIN:COUT'."""
-    try:
-        cin, cout = (int(part) for part in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected CIN:COUT, got {text!r}") from None
-    if cin < 1 or cout < 1:
-        raise argparse.ArgumentTypeError(f"channels must be positive, got {text!r}")
-    return cin, cout
+_resolution = _positive_pair("x", "WxH", "resolution")  # (width, height)
+_channels = _positive_pair(":", "CIN:COUT", "channels")
 
 
 def cmd_infer(args) -> int:
@@ -201,8 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time models and/or blocks, emit a JSON report")
     p.add_argument("--model", action="append", choices=sorted(PRESETS),
                    help="model preset; repeatable")
-    p.add_argument("--block", action="append", choices=benchmod.BLOCK_KINDS,
-                   help="single block; repeatable")
+    p.add_argument("--block", action="append", choices=DECODERS,
+                   help="single decoder block of this kind; repeatable")
     p.add_argument("--resolution", type=_resolution, default=(320, 240),
                    help="WxH input size (default %(default)s)")
     p.add_argument("--channels", type=_channels, default=(256, 128),

@@ -14,7 +14,7 @@ random_weights, infer) and multiply-accumulate count (graph_macs).
 Convolutions carry explicit (top, bottom, left, right) padding. Each decoder
 block is defined once too, in _decoder_block: build_model stacks it, and
 block_graph emits one on its own, the graph behind the up-convolution block
-API and its naive/fast check.
+API, its naive/fast check and the block benchmark.
 
 Encoders are residual bottleneck stacks (7x7/2 stem + 2x2 max pool, then
 stacks of 1x1-3x3-1x1 blocks with expansion 4). The full encoder has four
@@ -279,11 +279,14 @@ def _residual_block(b: _Builder, prefix: str, src: str, mid: int, cout: int, str
 def _merge_skip(b: _Builder, tag: str, src: str, target: str) -> str:
     """Project an encoder feature onto a decoder output and add them.
 
-    Projection is nearest-neighbour 2x upsampling until the spatial sizes
-    match, then a 1x1 convolution when the channel counts differ.
+    Projection is a 1x1 convolution when the channel counts differ, then
+    nearest-neighbour 2x upsampling until the spatial sizes match: the two
+    commute, and both then run on the narrower, smaller tensor.
     """
-    th, tw = b.shape(target)[1:3]
+    th, tw, tc = b.shape(target)[1:]
     x = src
+    if b.shape(x)[3] != tc:
+        x = _conv(b, f"skip.{tag}.proj", x, 1, 1, tc)
     step = 0
     while b.shape(x)[1] < th:
         x = b.add("nearest_up2", f"skip.{tag}.up{step}", (x,))
@@ -292,9 +295,6 @@ def _merge_skip(b: _Builder, tag: str, src: str, target: str) -> str:
         raise ValueError(
             f"skip {tag}: cannot align {b.shape(src)[1:3]} to {(th, tw)}"
         )
-    tc = b.shape(target)[3]
-    if b.shape(x)[3] != tc:
-        x = _conv(b, f"skip.{tag}.proj", x, 1, 1, tc)
     return b.add("add", f"skip.{tag}.add", (target, x))
 
 

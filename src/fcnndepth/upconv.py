@@ -9,11 +9,11 @@ accumulates.
 
 Both blocks are the model builder's own: each function here runs
 models.block_graph, the first decoder block of an up-convolution preset
-with its layers named "dec.b1.*", through models.infer. So the naive/fast
-check and the block benchmark exercise exactly the layers the presets run,
-and infer's weight check validates the parameters, naming the layer. The
-parity split is the rule ops.BRANCHES; the weight transfer is
-weights_io.split_container.
+with its layers named "dec.b1.*", through models.infer (the graph that
+bench.bench_block times). So the naive/fast check exercises exactly the
+layers the presets run, and infer's weight check validates the parameters,
+naming the layer. The parity split is the rule ops.BRANCHES; the weight
+transfer is weights_io.split_container.
 """
 from __future__ import annotations
 

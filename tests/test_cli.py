@@ -1,11 +1,14 @@
 import json
 import os
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fcnndepth.cli import main
+from fcnndepth.cli import _build_parser, main
 from fcnndepth.fileio import read_depth_raster, write_ppm
 from fcnndepth.metrics import compute_metrics
 from fcnndepth.models import build_model, preset, random_weights
@@ -291,6 +294,36 @@ class TestBenchCommand:
         assert target["resolution"] == "32x32"
         assert target["macs"] > 0
 
+    def test_any_decoder_block(self, capsys):
+        code = main([
+            "bench", "--block", "deconv", "--resolution", "4x4",
+            "--channels", "4:4", "--iters", "10", "--warmup", "0",
+        ])
+        assert code == 0
+        (target,) = json.loads(capsys.readouterr().out)["targets"]
+        assert (target["name"], target["resolution"]) == ("deconv", "4x4x4->4")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--resolution", "4"], "argument --resolution: expected WxH, got '4'"),
+        (["bench", "--resolution", "4x"], "argument --resolution: expected WxH, got '4x'"),
+        (["bench", "--resolution", "axb"], "argument --resolution: expected WxH, got 'axb'"),
+        (["bench", "--resolution", "4x4x4"], "argument --resolution: expected WxH, got '4x4x4'"),
+        (["bench", "--resolution", "0x4"],
+         "argument --resolution: resolution must be positive, got '0x4'"),
+        (["bench", "--resolution", "4x-1"],
+         "argument --resolution: resolution must be positive, got '4x-1'"),
+        (["bench", "--channels", "4"], "argument --channels: expected CIN:COUT, got '4'"),
+        (["bench", "--channels", "a:b"], "argument --channels: expected CIN:COUT, got 'a:b'"),
+        (["bench", "--channels", "4x4"], "argument --channels: expected CIN:COUT, got '4x4'"),
+        (["bench", "--channels", "4:4:4"], "argument --channels: expected CIN:COUT, got '4:4:4'"),
+        (["bench", "--channels", "4:0"], "argument --channels: channels must be positive, got '4:0'"),
+        (["gen-synthetic", "--out", "unused", "--resolution", "8x0"],
+         "argument --resolution: resolution must be positive, got '8x0'"),
+    ])
+    def test_bad_sizes_rejected_with_message(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f"fcnndepth {argv[0]}: error: {message}\n")
+
     def test_too_few_iters_rejected(self, capsys):
         assert main(["bench", "--block", "upconv_fast", "--iters", "3"]) == 2
 
@@ -299,3 +332,24 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: nothing to benchmark; pass --model and/or --block\n"
+
+
+def readme_commands() -> list[list[str]]:
+    """Arguments of every `fcnndepth ...` line in README.md's sh blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["fcnndepth"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_command_lines_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "gen-synthetic", "infer", "convert", "verify", "eval", "bench",
+    }
+    for argv in commands:
+        _build_parser().parse_args(argv)  # exits on an unknown flag or choice

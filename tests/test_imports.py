@@ -30,4 +30,4 @@ def test_import_graph_is_acyclic():
 def test_only_the_entry_points_import_the_block_api():
     # upconv runs the builder's decoder block; the layers below it never call back into it
     importers = {name for name, deps in package_imports().items() if "upconv" in deps}
-    assert importers == {"__init__", "bench", "cli"}
+    assert importers == {"__init__", "cli"}

@@ -91,6 +91,20 @@ class TestShapeContracts:
         assert count(basic) == 5
         assert count(lite) == 4
 
+    @pytest.mark.parametrize("name", ["basic-sc-upconv", "basic-sc-upconv-fast"])
+    def test_skips_project_before_upsampling(self, name):
+        # a 1x1 conv commutes with nearest upsampling, so the skip is narrowed first
+        skips = [(n, s) for n, s in shape_trace(build_model(preset(name))) if n.startswith("skip.")]
+        assert skips == [
+            ("skip.b3.proj", (1, 60, 80, 256)),
+            ("skip.b3.up0", (1, 120, 160, 256)),
+            ("skip.b3.add", (1, 120, 160, 256)),
+            ("skip.b5.proj", (1, 120, 160, 1)),
+            ("skip.b5.up0", (1, 240, 320, 1)),
+            ("skip.b5.up1", (1, 480, 640, 1)),
+            ("skip.b5.add", (1, 480, 640, 1)),
+        ]
+
     def test_graph_construction_deterministic(self):
         a = build_model(preset("basic-sc-nonbt", width_div=8))
         b = build_model(preset("basic-sc-nonbt", width_div=8))
@@ -502,12 +516,15 @@ class TestInPlaceOracle:
 
 # tracemalloc peaks of infer at 480x640, width /8, random_weights seed 0, when
 # these bounds were set. The stem's 7x7/2 window matrix (240 * 320 rows of
-# 147 float32 values, about 45 MB) sets most of every peak at any width, so
-# the bounds are absolute, not relative to the graph's largest activation.
+# 147 float32 values, about 45 MB) sets the 51.4 MB peaks: both deconv
+# presets and all four up-conv presets, whose skips are projected before
+# they are upsampled. The nonbt presets peak at the last block's conv31 on
+# the upsampled grid. The window matrix is the same at any width, so the
+# bounds are absolute, not relative to the graph's largest activation.
 INFER_PEAK_MB = {
     "basic-deconv": 51.4, "basic-sc-deconv": 51.4, "lite-upconv": 51.4, "lite-upconv-fast": 51.4,
     "basic-sc-nonbt": 59.1, "lite-sc-nonbt": 59.1,
-    "basic-sc-upconv": 70.1, "basic-sc-upconv-fast": 70.1,
+    "basic-sc-upconv": 51.4, "basic-sc-upconv-fast": 51.4,
 }
 
 

@@ -406,6 +406,52 @@ class TestResample:
         with pytest.raises(ValueError, match="even"):
             ops.maxpool2(x)
 
+    # odd sizes, 1-pixel inputs, cout = 1, with and without a bias, both dtypes
+    PROJECTION_CASES = dict(
+        n=st.integers(1, 2), h=st.integers(1, 7), w=st.integers(1, 7),
+        cin=st.integers(1, 9), cout=st.integers(1, 4), bias=st.booleans(),
+        dtype=st.sampled_from(DTYPES), seed=st.integers(0, 2**16),
+    )
+
+    @staticmethod
+    def project_both_ways(x, k):
+        """A 1x1 conv then nearest_up2, and nearest_up2 then the same conv."""
+        first = ops.nearest_up2(ops.conv2d_padded(x, k, 1, (0, 0, 0, 0)))
+        last = ops.conv2d_padded(ops.nearest_up2(x), k, 1, (0, 0, 0, 0))
+        assert first.dtype == last.dtype == x.dtype
+        return first.data, last.data
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(**PROJECTION_CASES)
+    def test_1x1_conv_commutes_with_nearest_up2(self, n, h, w, cin, cout, bias, dtype, seed):
+        # Each output pixel is the same dot product either way. On small
+        # integers every product and sum is exact, so the two orders agree
+        # bit for bit whatever order the GEMM sums in.
+        rng = np.random.default_rng(seed)
+        x = Tensor4(rng.integers(-8, 9, (n, h, w, cin)).astype(dtype))
+        b = rng.integers(-8, 9, cout).astype(dtype) if bias else None
+        k = ConvKernel(rng.integers(-8, 9, (1, 1, cin, cout)).astype(dtype), b)
+        first, last = self.project_both_ways(x, k)
+        assert first.shape == (n, 2 * h, 2 * w, cout)
+        assert np.array_equal(first, last)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(**PROJECTION_CASES)
+    def test_1x1_conv_commutes_with_nearest_up2_to_rounding(
+        self, n, h, w, cin, cout, bias, dtype, seed
+    ):
+        # On general values the GEMM may round one pixel's dot product
+        # differently at a different row count or position, so the orders
+        # agree to within the dot product's rounding bound, not bit for bit.
+        rng = np.random.default_rng(seed)
+        x = rand_tensor(rng, (n, h, w, cin), dtype)
+        k = rand_kernel(rng, 1, 1, cin, cout, bias=bias, dtype=dtype)
+        first, last = self.project_both_ways(x, k)
+        scale = np.abs(ops.nearest_up2(x).data) @ np.abs(k.weights[0, 0])
+        if bias:
+            scale += np.abs(k.bias)
+        assert np.all(np.abs(first - last) <= 2 * (cin + 1) * np.finfo(dtype).eps * scale)
+
 
 def nonbt_pair(x, k31, k13):
     """The upsampling_nonbt decoder's factorized conv: relu(conv1x3(relu(conv3x1(x))))."""
