@@ -43,6 +43,8 @@ def time_callable(fn, warmup: int, iters: int) -> dict[str, float]:
     """Run fn warmup + iters times; summarize the timed iterations (nearest-rank percentiles)."""
     if iters < MIN_ITERS:
         raise ValueError(f"need at least {MIN_ITERS} iterations, got {iters}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     for _ in range(warmup):
         fn()
     times = []

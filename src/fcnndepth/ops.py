@@ -42,16 +42,8 @@ def conv2d_padded(
     per axis, and the interleaved up-convolution branches pass the
     asymmetric pads of :data:`BRANCHES`.
 
-    Stride 1 accumulates one GEMM per kernel tap ("kn2row") and never
-    copies an im2col matrix. The padded batch is one flat
-    ``(n * hp * wp, cin)`` matrix. Output pixel ``(i, r, c)`` sits at flat
-    row ``p = (i * hp + r) * wp + c``, and tap ``(a, b)`` reads input row
-    ``p + a * wp + b``. So each tap is the contiguous row slice starting
-    at ``a * wp + b`` times ``K[a, b]``, summed into an
-    ``(n * hp * wp, cout)`` buffer. The rows whose column is at or past
-    ``ow``, or whose row is at or past ``oh``, wrap across a row or image
-    edge; they are cropped at the end. The first tap writes straight into
-    the buffer, so a 1x1 conv is a single reshape-matmul.
+    Stride 1 accumulates one GEMM per kernel tap ("kn2row") and copies
+    neither an im2col matrix nor a padded input: see :func:`_conv_taps`.
 
     Stride > 1 contracts a strided ``sliding_window_view`` in one
     ``tensordot``. Those convs are the stem and the downsampling
@@ -62,21 +54,21 @@ def conv2d_padded(
     _check_operands(x, kernel, stride)
     if min(pads) < 0:
         raise ValueError(f"padding must be nonnegative, got {pads}")
-    padded = _pad(x.data, pads)
-    if padded.shape[1] < kernel.kh or padded.shape[2] < kernel.kw:
+    hp, wp = x.h + pads[0] + pads[1], x.w + pads[2] + pads[3]
+    if hp < kernel.kh or wp < kernel.kw:
         raise ValueError(
-            f"padded input {padded.shape[1]}x{padded.shape[2]} is smaller than "
+            f"padded input {hp}x{wp} is smaller than "
             f"the {kernel.kh}x{kernel.kw} kernel (zero-size output)"
         )
     if stride == 1:
-        out = _conv_taps(padded, kernel.weights)
+        out = _conv_taps(x.data, kernel.weights, pads)
     else:
-        windows = sliding_window_view(padded, (kernel.kh, kernel.kw), axis=(1, 2))
+        windows = sliding_window_view(_pad(x.data, pads), (kernel.kh, kernel.kw), axis=(1, 2))
         windows = windows[:, ::stride, ::stride]
         # windows: (N, Ho, Wo, C, kh, kw); contract (C, kh, kw) against (kh, kw, cin, cout)
         out = np.tensordot(windows, kernel.weights, axes=([3, 4, 5], [2, 0, 1]))
     if kernel.bias is not None:
-        out += kernel.bias  # out is a fresh buffer or a view of one
+        out += kernel.bias  # out is a fresh contiguous array
     return Tensor4(out)
 
 
@@ -88,29 +80,38 @@ def _pad(data: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
     return np.pad(data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
 
 
-def _conv_taps(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Stride-1 valid cross-correlation of a padded NHWC array, one GEMM per tap.
+def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
+    """Stride-1 cross-correlation of NHWC `x` zero-padded by (top, bottom, left, right).
 
-    Returns a view of shape (n, oh, ow, cout) into the accumulation buffer;
-    see :func:`conv2d_padded` for the index arithmetic. Tap (a, b) is read
-    as the view ``weights[a, b]``, a contiguous (cin, cout) block even when
-    `weights` is a strided or flipped view of a larger kernel, so no kernel
-    is copied.
+    The padding is never built. Tap (a, b) is one GEMM of the flat
+    ``(n * h * w, cin)`` input with the (cin, cout) view ``weights[a, b]``,
+    so no kernel is copied either. Input pixel (r, c) feeds output pixel
+    (r + top - a, c + left - b), so the product is added into the output
+    window of rows ``max(0, top - a)`` to ``min(oh, h + top - a)``, and
+    likewise for columns; the pixels outside it would read padding. The
+    taps run in row-major order into a fresh output that starts at zero,
+    except that tap (0, 0) writes it directly when it maps the input onto
+    the output one to one, so an unpadded 1x1 conv is a single matmul.
     """
-    n, hp, wp, cin = padded.shape
+    n, h, w, cin = x.shape
     kh, kw, _, cout = weights.shape
-    oh, ow = hp - kh + 1, wp - kw + 1
-    rows = (n - 1) * hp * wp + (oh - 1) * wp + ow
-    flat = padded.reshape(n * hp * wp, cin)
-    (_, first), *rest = [(a * wp + b, weights[a, b]) for a in range(kh) for b in range(kw)]
-    acc = np.empty((n * hp * wp, cout), dtype=padded.dtype)
-    np.matmul(flat[:rows], first, out=acc[:rows])
-    if rest:
-        prod = np.empty((rows, cout), dtype=acc.dtype)
-        for start, k in rest:
-            np.matmul(flat[start:start + rows], k, out=prod)
-            acc[:rows] += prod
-    return acc.reshape(n, hp, wp, cout)[:, :oh, :ow]
+    top, bottom, left, right = pads
+    oh, ow = h + top + bottom - kh + 1, w + left + right - kw + 1
+    flat = x.reshape(n * h * w, cin)
+    taps = [(a, b) for a in range(kh) for b in range(kw)]
+    if (top, left, oh, ow) == (0, 0, h, w):
+        out = np.matmul(flat, weights[0, 0]).reshape(n, h, w, cout)
+        taps = taps[1:]
+    else:
+        out = np.zeros((n, oh, ow, cout), dtype=x.dtype)
+    prod = np.empty((n, h, w, cout), dtype=x.dtype) if taps else None
+    for a, b in taps:
+        r0, r1 = max(0, top - a), min(oh, h + top - a)
+        c0, c1 = max(0, left - b), min(ow, w + left - b)
+        if r0 < r1 and c0 < c1:
+            np.matmul(flat, weights[a, b], out=prod.reshape(n * h * w, cout))
+            out[:, r0:r1, c0:c1] += prod[:, r0 + a - top:r1 + a - top, c0 + b - left:c1 + b - left]
+    return out
 
 
 def phase_split(k: int, stride: int, lead: int, phase: int) -> tuple[int, int, tuple[int, int]]:
@@ -183,8 +184,8 @@ def deconv2d(x: Tensor4, kernel: ConvKernel, stride: int = 2) -> Tensor4:
     output; for a 5x5 kernel and stride 2 that is ``Kf[1 - r::2, 1 - c::2]``
     with pads (1, r, 1, c). It runs k * k * cin * cout MACs per input pixel,
     stride ** 2 fewer than a convolution of the zero-inserted grid, and
-    copies neither the kernel nor the input beyond its padding. A phase with
-    no taps (only when k < stride) holds the bias alone.
+    copies neither the kernel nor a padded input. A phase with no taps (only
+    when k < stride) holds the bias alone.
     """
     _check_operands(x, kernel, stride)
     n, h, w, _ = x.shape
@@ -197,8 +198,7 @@ def deconv2d(x: Tensor4, kernel: ConvKernel, stride: int = 2) -> Tensor4:
         for c, (b0, tw, pads_c) in enumerate(cols):
             phase = out[:, r::stride, c::stride]
             if th and tw:
-                padded = _pad(x.data, pads_r + pads_c)
-                phase[...] = _conv_taps(padded, flipped[a0::stride, b0::stride])
+                phase[...] = _conv_taps(x.data, flipped[a0::stride, b0::stride], pads_r + pads_c)
             else:
                 phase[...] = 0
     if kernel.bias is not None:

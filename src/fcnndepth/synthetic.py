@@ -80,6 +80,8 @@ def generate_corpus(
     out_dir, count: int, width: int, height: int, seed: int = 0
 ) -> list[tuple[Path, Path]]:
     """Write `count` paired P6 images and depth rasters; returns the path pairs."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

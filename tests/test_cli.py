@@ -213,6 +213,14 @@ class TestGenSyntheticCommand:
         assert names == ["scene_0000.dpth", "scene_0000.ppm",
                          "scene_0001.dpth", "scene_0001.ppm"]
 
+    def test_negative_count_rejected(self, tmp_path, capsys):
+        assert main([
+            "gen-synthetic", "--count", "-2", "--resolution", "8x8",
+            "--out", str(tmp_path / "d"),
+        ]) == 2
+        assert capsys.readouterr().err == "error: count must be >= 0, got -2\n"
+        assert not (tmp_path / "d").exists()
+
 
 class TestConvertCommand:
     def test_convert_then_infer_matches(self, workspace, tmp_path):
@@ -326,6 +334,13 @@ class TestBenchCommand:
 
     def test_too_few_iters_rejected(self, capsys):
         assert main(["bench", "--block", "upconv_fast", "--iters", "3"]) == 2
+
+    def test_negative_warmup_rejected(self, capsys):
+        assert main(["bench", "--block", "upconv_fast", "--resolution", "4x4",
+                     "--channels", "4:4", "--warmup", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: warmup must be >= 0, got -3\n")
 
     def test_no_targets_rejected(self, capsys):
         assert main(["bench"]) == 2

@@ -516,14 +516,15 @@ class TestInPlaceOracle:
 
 # tracemalloc peaks of infer at 480x640, width /8, random_weights seed 0, when
 # these bounds were set. The stem's 7x7/2 window matrix (240 * 320 rows of
-# 147 float32 values, about 45 MB) sets the 51.4 MB peaks: both deconv
-# presets and all four up-conv presets, whose skips are projected before
-# they are upsampled. The nonbt presets peak at the last block's conv31 on
-# the upsampled grid. The window matrix is the same at any width, so the
-# bounds are absolute, not relative to the graph's largest activation.
+# 147 float32 values, about 45 MB) sets the 51.4 MB peak of all eight
+# presets. The nonbt presets' last conv31 on the upsampled grid comes next
+# at 39.4 MB: its input, its output and one tap's product. It set their
+# 59.1 MB peak while stride-1 convs padded a copy of their input. The window
+# matrix is the same at any width, so the bounds are absolute, not relative
+# to the graph's largest activation.
 INFER_PEAK_MB = {
     "basic-deconv": 51.4, "basic-sc-deconv": 51.4, "lite-upconv": 51.4, "lite-upconv-fast": 51.4,
-    "basic-sc-nonbt": 59.1, "lite-sc-nonbt": 59.1,
+    "basic-sc-nonbt": 51.4, "lite-sc-nonbt": 51.4,
     "basic-sc-upconv": 51.4, "basic-sc-upconv-fast": 51.4,
 }
 

@@ -65,9 +65,10 @@ class TestConv2d:
 
     @pytest.mark.parametrize("seed", range(100))
     def test_matches_loop_reference_randomized(self, seed):
-        # Independent asymmetric pads (0 up to wider than k - 1), batches up
-        # to 3 and large side pads are what expose a row-end wrap-around
-        # error in the stride-1 flat-row arithmetic.
+        # Independent asymmetric pads (0 up to wider than k - 1) and batches
+        # up to 3: pads wider than k - 1 leave output rows and columns that
+        # no tap reaches, and an input smaller than the kernel has taps that
+        # reach no output pixel, so every clipped-window edge is hit.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         h, w = (1, 1) if seed % 10 == 0 else (int(rng.integers(1, 8)) for _ in range(2))
@@ -121,6 +122,39 @@ class TestConv2d:
         assert peak < 0.5 * x.data.nbytes
         flat = x.data.reshape(-1, 64) @ k.weights[0, 0] + k.bias
         assert np.array_equal(out.data, flat.reshape(out.shape))
+
+    def test_padded_stride1_output_is_contiguous(self):
+        # the output is the accumulator itself, not a cropped view of a larger one
+        rng = np.random.default_rng(17)
+        out = conv_same(rand_tensor(rng, (2, 6, 7, 5)), rand_kernel(rng, 3, 3, 5, 4))
+        assert out.data.flags.c_contiguous
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / out.data.nbytes
+
+    def test_1x1_after_same_conv_copies_no_input(self):
+        # conv3 of a residual block reads conv2's output; a strided view there
+        # would be copied by the 1x1 conv's reshape, a copy of its whole input
+        # (0.25x the output's bytes at this 64 -> 256 expansion)
+        rng = np.random.default_rng(18)
+        mid = conv_same(rand_tensor(rng, (1, 60, 80, 64)), rand_kernel(rng, 3, 3, 64, 64))
+        k = rand_kernel(rng, 1, 1, 64, 256)
+        assert self.traced_peak(lambda: ops.conv2d_padded(mid, k)) <= 1.05
+
+    def test_same_conv_memory_is_output_and_one_product(self):
+        # the output plus one tap's product, both of output size: no padded
+        # copy of the input, no accumulator over wrap-around rows
+        rng = np.random.default_rng(19)
+        x = rand_tensor(rng, (1, 60, 80, 256))
+        k = rand_kernel(rng, 3, 3, 256, 128)
+        assert self.traced_peak(lambda: conv_same(x, k)) <= 2.25
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("x_dtype", DTYPES)
@@ -545,7 +579,7 @@ class TestOutArgument:
     @staticmethod
     def operands(dtype, view):
         rng = np.random.default_rng(19)
-        # a view, like the cropped accumulation buffer a conv returns
+        # a view, like the slice the `crop` layer returns
         x = rand_tensor(rng, (2, 6, 7, 3), dtype)
         x = Tensor4(x.data[:, 1:5, :5]) if view else x
         y = rand_tensor(rng, x.shape, dtype)
