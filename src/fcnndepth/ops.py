@@ -45,11 +45,11 @@ def conv2d_padded(
     Stride 1 accumulates one GEMM per kernel tap ("kn2row") and copies
     neither an im2col matrix nor a padded input: see :func:`_conv_taps`.
 
-    Stride > 1 contracts a strided ``sliding_window_view`` in one
-    ``tensordot``. Those convs are the stem and the downsampling
-    projections. The 3-channel stem is where per-tap GEMMs lose: with
-    K = 3 each GEMM is too thin, and 49 of them took 62 ms at 320x240
-    against 9.8 ms for the window copy.
+    Stride > 1 (the stem and downsampling convs) runs one matmul of the
+    window rows, one per output pixel in the kernel's (kh, kw, cin) order
+    (runs of kw * cin contiguous values), with the kernel as stored.
+    Per-tap GEMMs lose on the 3-channel stem: its 49 with K = 3 took
+    60 ms at 320x240, full width, against 7-10 ms for the window rows.
     """
     _check_operands(x, kernel, stride)
     if min(pads) < 0:
@@ -64,9 +64,11 @@ def conv2d_padded(
         out = _conv_taps(x.data, kernel.weights, pads)
     else:
         windows = sliding_window_view(_pad(x.data, pads), (kernel.kh, kernel.kw), axis=(1, 2))
-        windows = windows[:, ::stride, ::stride]
-        # windows: (N, Ho, Wo, C, kh, kw); contract (C, kh, kw) against (kh, kw, cin, cout)
-        out = np.tensordot(windows, kernel.weights, axes=([3, 4, 5], [2, 0, 1]))
+        # (N, Ho, Wo, C, kh, kw) -> (N, Ho, Wo, kh, kw, C), the kernel's (kh, kw, cin) order
+        windows = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+        rows = windows.reshape(-1, kernel.kh * kernel.kw * kernel.cin)
+        out = np.matmul(rows, kernel.weights.reshape(-1, kernel.cout))
+        out = out.reshape(*windows.shape[:3], kernel.cout)
     if kernel.bias is not None:
         out += kernel.bias  # out is a fresh contiguous array
     return Tensor4(out)
@@ -185,7 +187,7 @@ def deconv2d(x: Tensor4, kernel: ConvKernel, stride: int = 2) -> Tensor4:
     with pads (1, r, 1, c). It runs k * k * cin * cout MACs per input pixel,
     stride ** 2 fewer than a convolution of the zero-inserted grid, and
     copies neither the kernel nor a padded input. A phase with no taps (only
-    when k < stride) holds the bias alone.
+    when k < stride) gets zeros from :func:`_conv_taps`, then the bias.
     """
     _check_operands(x, kernel, stride)
     n, h, w, _ = x.shape
@@ -194,13 +196,11 @@ def deconv2d(x: Tensor4, kernel: ConvKernel, stride: int = 2) -> Tensor4:
     cols = [phase_split(kw, stride, kw - 1 - max(kw - stride, 0) // 2, c) for c in range(stride)]
     flipped = kernel.weights[::-1, ::-1]
     out = np.empty((n, h * stride, w * stride, kernel.cout), dtype=x.dtype)
-    for r, (a0, th, pads_r) in enumerate(rows):
-        for c, (b0, tw, pads_c) in enumerate(cols):
-            phase = out[:, r::stride, c::stride]
-            if th and tw:
-                phase[...] = _conv_taps(x.data, flipped[a0::stride, b0::stride], pads_r + pads_c)
-            else:
-                phase[...] = 0
+    for r, (a0, _, pads_r) in enumerate(rows):
+        for c, (b0, _, pads_c) in enumerate(cols):
+            out[:, r::stride, c::stride] = _conv_taps(
+                x.data, flipped[a0::stride, b0::stride], pads_r + pads_c
+            )
     if kernel.bias is not None:
         out += kernel.bias
     return Tensor4(out)

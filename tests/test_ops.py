@@ -156,6 +156,23 @@ class TestConv2d:
         k = rand_kernel(rng, 3, 3, 256, 128)
         assert self.traced_peak(lambda: conv_same(x, k)) <= 2.25
 
+    def test_strided_conv_copies_no_kernel(self):
+        # enc.s4.b1.conv2 of basic at 640x480: the padded input, the window
+        # rows and the output; a transposed copy of the 9.4 MB kernel would
+        # double the peak
+        rng = np.random.default_rng(20)
+        x = rand_tensor(rng, (1, 30, 40, 512))
+        k = rand_kernel(rng, 3, 3, 512, 512)
+        tracemalloc.start()
+        try:
+            out = conv_same(x, k, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded = 31 * 41 * 512 * 4
+        window_rows = out.h * out.w * 9 * 512 * 4
+        assert peak <= 1.1 * (padded + window_rows + out.data.nbytes)
+
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("x_dtype", DTYPES)
     @pytest.mark.parametrize("w_dtype", DTYPES)
