@@ -32,9 +32,9 @@ class AdaptiveBerHuState:
     lr: float = 0.01
 
     def __post_init__(self):
-        for name in ("k", "delta", "lr"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, value in vars(self).items():
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _validated(prediction: Tensor4, truth: Tensor4):
@@ -44,8 +44,11 @@ def _validated(prediction: Tensor4, truth: Tensor4):
     return valid_pixels(prediction, truth)
 
 
-def _as_grad(grad64: np.ndarray, prediction: Tensor4) -> Tensor4:
-    return Tensor4(grad64.astype(prediction.dtype))
+def _scatter(grad: np.ndarray, mask: np.ndarray, prediction: Tensor4) -> Tensor4:
+    """The valid pixels' gradient placed in a zeroed map of the prediction's dtype."""
+    out = np.zeros(prediction.shape, dtype=prediction.dtype)
+    out[mask] = grad
+    return Tensor4(out)
 
 
 def mse_rel_loss(
@@ -58,23 +61,27 @@ def mse_rel_loss(
     The relative term penalizes a given absolute error more when the true
     depth is small. Returns (value, d value / d prediction).
     """
-    if alpha1 < 0 or alpha2 < 0:
-        raise ValueError("alpha weights must be nonnegative")
+    if not (0 <= alpha1 < np.inf and 0 <= alpha2 < np.inf):
+        raise ValueError("alpha weights must be nonnegative and finite")
     if alpha1 == 0 and alpha2 == 0:
         raise ValueError("alpha weights must not both be zero")
     p, t, mask, count = _validated(prediction, truth)
-    e = np.where(mask, t - p, 0.0)
-    rel = np.where(mask, 1.0 - p / np.where(mask, t, 1.0), 0.0)
+    e = t - p
+    rel = 1.0 - p / t
     value = (alpha1 * np.sum(e * e) + alpha2 * np.sum(rel * rel)) / count
-    grad = (-2.0 * alpha1 * e - 2.0 * alpha2 * rel / np.where(mask, t, 1.0)) / count
-    grad[~mask] = 0.0
-    return float(value), _as_grad(grad, prediction)
+    grad = (-2.0 * alpha1 * e - 2.0 * alpha2 * rel / t) / count
+    return float(value), _scatter(grad, mask, prediction)
 
 
-def _berhu_elementwise(e: np.ndarray, k: float) -> np.ndarray:
-    """Per-pixel reverse Huber: |e| below k, scaled quadratic at or above."""
+def _berhu(prediction: Tensor4, truth: Tensor4, k: float):
+    """BerHu value and gradient at k, the valid depths and their per-pixel loss."""
+    p, t, mask, count = _validated(prediction, truth)
+    e = t - p
     abs_e = np.abs(e)
-    return np.where(abs_e < k, abs_e, (e * e + k * k) / (2.0 * k))
+    linear = abs_e < k
+    per_pixel = np.where(linear, abs_e, (e * e + k * k) / (2.0 * k))
+    grad = np.where(linear, -np.sign(e), -e / k) / count
+    return float(np.sum(per_pixel) / count), _scatter(grad, mask, prediction), t, per_pixel
 
 
 def berhu_loss(prediction: Tensor4, truth: Tensor4, k: float) -> tuple[float, Tensor4]:
@@ -89,14 +96,9 @@ def berhu_loss(prediction: Tensor4, truth: Tensor4, k: float) -> tuple[float, Te
     loss is C1; the subgradient at e = 0 is taken as 0. Returns
     (mean over valid pixels, d value / d prediction).
     """
-    if not k > 0:
-        raise ValueError(f"threshold k must be positive, got {k}")
-    p, t, mask, count = _validated(prediction, truth)
-    e = np.where(mask, t - p, 0.0)
-    value = np.sum(np.where(mask, _berhu_elementwise(e, k), 0.0)) / count
-    grad = np.where(np.abs(e) < k, -np.sign(e), -e / k) / count
-    grad[~mask] = 0.0
-    return float(value), _as_grad(grad, prediction)
+    if not 0 < k < np.inf:
+        raise ValueError(f"threshold k must be positive and finite, got {k}")
+    return _berhu(prediction, truth, k)[:2]
 
 
 def aberhu_step(
@@ -109,11 +111,9 @@ def aberhu_step(
     toward the band with the larger mean, stays put on a tie or when either
     band is empty, and is clamped to stay positive.
     """
-    value, grad = berhu_loss(prediction, truth, state.k)
-    p, t, mask, _ = _validated(prediction, truth)
-    per_pixel = _berhu_elementwise(np.where(mask, t - p, 0.0), state.k)
-    low = mask & (t >= state.k - state.delta) & (t <= state.k)
-    high = mask & (t >= state.k) & (t <= state.k + state.delta)
+    value, grad, t, per_pixel = _berhu(prediction, truth, state.k)
+    low = (t >= state.k - state.delta) & (t <= state.k)
+    high = (t >= state.k) & (t <= state.k + state.delta)
     new_k = state.k
     if low.any() and high.any():
         low_mean = per_pixel[low].mean()

@@ -36,26 +36,25 @@ class MetricsReport:
 
 
 def valid_pixels(prediction: Tensor4, truth: Tensor4):
-    """Both maps in float64, the mask truth > 0 and its count, which must not be 0."""
+    """Valid (truth > 0) pixels of both maps as 1-D float64 arrays, the mask, its count (> 0)."""
     if prediction.shape != truth.shape:
         raise ValueError(f"shape mismatch: {prediction.shape} vs {truth.shape}")
-    p = prediction.data.astype(np.float64)
-    t = truth.data.astype(np.float64)
-    mask = t > 0
-    count = int(mask.sum())
+    mask = truth.data > 0
+    count = int(np.count_nonzero(mask))
     if count == 0:
         raise ValueError("no valid pixels: ground truth is nonpositive everywhere")
+    p = prediction.data[mask].astype(np.float64, copy=False)
+    t = truth.data[mask].astype(np.float64, copy=False)
     return p, t, mask, count
 
 
 def compute_metrics(prediction: Tensor4, truth: Tensor4) -> MetricsReport:
-    """Evaluate a prediction against ground truth over the valid-pixel mask.
+    """Evaluate a prediction against ground truth over the valid pixels.
 
     Nonpositive predictions make their pixel fail every threshold (the
     ratio is treated as infinite) but still count toward mse and rel.
     """
-    p, t, mask, count = valid_pixels(prediction, truth)
-    p, t = p[mask], t[mask]
+    p, t, _, count = valid_pixels(prediction, truth)
     e = t - p
     # a memoryview feeds fsum Python floats: no numpy scalars, no .tolist() list
     mse = math.fsum(memoryview(e * e)) / count

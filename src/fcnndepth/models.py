@@ -414,7 +414,9 @@ def random_weights(graph: LayerGraph, seed: int = 0, dtype=np.float32):
     Convolutions get He-style scaled normals and no bias; batch norms get
     near-identity statistics so activations stay well ranged through deep
     graphs. Kernels are drawn in `dtype` (float32 or float64) and scaled in
-    place, so no kernel is ever held at a wider precision.
+    place, so no kernel is ever held at a wider precision. `seed` may also
+    be a np.random.Generator: np.random.default_rng returns it unchanged, so
+    the draws continue from the caller's generator.
     """
     rng = np.random.default_rng(seed)
     entries: dict[str, ConvKernel | BatchNormParams] = {}

@@ -65,8 +65,9 @@ def generate_scene(kind: str, width: int, height: int, rng: np.random.Generator)
     elif kind == "box":
         z_back = rng.uniform(3.0, 5.0)
         z_front = rng.uniform(1.0, z_back - 0.5)
-        x0 = int(rng.integers(0, width // 2))
-        y0 = int(rng.integers(0, height // 2))
+        # on a 1-pixel side, width // 2 or height // 2 is 0: an empty range
+        x0 = int(rng.integers(0, max(width // 2, 1)))
+        y0 = int(rng.integers(0, max(height // 2, 1)))
         x1 = int(rng.integers(x0 + 1, width + 1))
         y1 = int(rng.integers(y0 + 1, height + 1))
         depth = box_depth(width, height, z_back, z_front, x0, x1, y0, y1)

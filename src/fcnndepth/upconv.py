@@ -20,13 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import models
-from .tensor import BatchNormParams, ConvKernel, Tensor4
+from .tensor import ConvKernel, Tensor4
 from .weights_io import WeightContainer, split_container
 
 # the block API's name for the naive-to-fast weight transfer
 split_weights_5x5 = split_container
 
-_BN = "dec.b1.bn"
+_UP, _BN = "dec.b1.up5x5", "dec.b1.bn"
 
 
 def _run_block(decoder: str, x: Tensor4, weights: WeightContainer) -> Tensor4:
@@ -60,19 +60,13 @@ def fast_block_macs(h: int, w: int, cin: int, cout: int) -> int:
 def random_upconv_weights(
     cin: int, cout: int, rng: np.random.Generator, dtype=np.float32
 ) -> WeightContainer:
-    """Draw a plausible random naive-block container (used by verification and benchmarks)."""
-    kernel = ConvKernel(
-        (rng.standard_normal((5, 5, cin, cout)) * 0.2).astype(dtype),
-        (rng.standard_normal(cout) * 0.1).astype(dtype),
-    )
-    bn = BatchNormParams(
-        mean=(rng.standard_normal(cout) * 0.5).astype(dtype),
-        variance=rng.uniform(0.25, 2.0, cout).astype(dtype),
-        gamma=rng.uniform(0.5, 1.5, cout).astype(dtype),
-        beta=(rng.standard_normal(cout) * 0.5).astype(dtype),
-        eps=1e-5,
-    )
-    return WeightContainer({"dec.b1.up5x5": kernel, _BN: bn})
+    """The naive block's models.random_weights drawn from `rng`, plus a kernel bias."""
+    graph = models.block_graph("upconv_naive", 1, 1, cin, cout)
+    weights = models.random_weights(graph, rng, dtype)
+    # the bias makes the naive/fast check cover how split_container hands it on
+    bias = rng.standard_normal(cout, dtype=dtype) * 0.1
+    weights.entries[_UP] = ConvKernel(weights[_UP].weights, bias)
+    return weights
 
 
 def verify_equivalence(

@@ -138,6 +138,8 @@ def _read_record(r: _Reader, entries: dict[str, ConvKernel | BatchNormParams]) -
         kernel = entries.get(base)
         if not isinstance(kernel, ConvKernel):
             raise WeightFormatError(f"bias record {name!r} has no preceding kernel")
+        if kernel.bias is not None:
+            raise WeightFormatError(f"duplicate bias record {name!r}")
         entries[base] = ConvKernel(kernel.weights, data)
         return
     if name in entries:

@@ -91,6 +91,9 @@ class TestMseRelLoss:
             mse_rel_loss(pred, truth, -1.0, 2.0)
         with pytest.raises(ValueError, match="both"):
             mse_rel_loss(pred, truth, 0.0, 0.0)
+        for alphas in [(np.nan, 2.0), (1.0, np.nan), (np.inf, 2.0), (1.0, np.inf)]:
+            with pytest.raises(ValueError, match="^alpha weights must be nonnegative and finite$"):
+                mse_rel_loss(pred, truth, *alphas)
 
 
 class TestBerhuLoss:
@@ -150,6 +153,9 @@ class TestBerhuLoss:
         pred, truth = single_pixel(1.0, 2.0)
         with pytest.raises(ValueError, match="positive"):
             berhu_loss(pred, truth, k=0.0)
+        for k in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^threshold k must be positive and finite"):
+                berhu_loss(pred, truth, k=k)
 
 
 class TestAdaptiveBerhu:
@@ -158,6 +164,10 @@ class TestAdaptiveBerhu:
             AdaptiveBerHuState(k=0.0)
         with pytest.raises(ValueError, match="positive"):
             AdaptiveBerHuState(delta=-1.0)
+        for name in ("k", "delta", "lr"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                    AdaptiveBerHuState(**{name: bad})
 
     def test_high_band_error_raises_k(self):
         # valid depths: one in [k - delta, k) with zero error, one in

@@ -70,6 +70,15 @@ class TestCorpus:
             assert depth.shape == (10, 20)
             assert (depth > 0).all()
 
+    @pytest.mark.parametrize("width, height", [(1, 1), (1, 5), (5, 1)])
+    def test_one_pixel_wide_or_high(self, tmp_path, width, height):
+        # the third scene is a box: on a 1-pixel side its corner draw had an empty range
+        pairs = generate_corpus(tmp_path / "e", 3, width, height, seed=0)
+        assert len(pairs) == 3
+        for img_path, depth_path in pairs:
+            assert read_ppm(img_path).shape == (height, width, 3)
+            assert read_depth_raster(depth_path).shape == (height, width)
+
     def test_fronto_parallel_plane_is_constant(self, tmp_path):
         pairs = generate_corpus(tmp_path / "d", 1, 12, 8, seed=4)
         depth = read_depth_raster(pairs[0][1])

@@ -5,7 +5,7 @@ import pytest
 
 from fcnndepth import ops
 from fcnndepth.bench import bench_block
-from fcnndepth.models import block_graph, graph_macs, infer
+from fcnndepth.models import block_graph, graph_macs, infer, random_weights
 from fcnndepth.ops import BRANCHES
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
 from fcnndepth.upconv import (
@@ -270,6 +270,25 @@ class TestFastBlock:
         for name, kernel in split.items():
             out = ops.conv2d_padded(x, kernel, stride=1, pads=BRANCHES[name][3])
             assert out.shape == (1, 5, 6, 3), name
+
+
+class TestRandomUpconvWeights:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_weights_of_the_naive_block_plus_a_bias(self, dtype):
+        # two generators in the same state: the block draw is random_weights' own
+        cin, cout = 3, 4
+        drawn = random_upconv_weights(cin, cout, np.random.default_rng(5), dtype)
+        graph = block_graph("upconv_naive", 1, 1, cin, cout)
+        ref = random_weights(graph, np.random.default_rng(5), dtype)
+        assert drawn.names() == ref.names()
+        kernel = drawn["dec.b1.up5x5"]
+        assert kernel.weights.dtype == dtype
+        assert np.array_equal(kernel.weights, ref["dec.b1.up5x5"].weights)
+        assert kernel.bias is not None and kernel.bias.shape == (cout,)
+        bn, ref_bn = drawn["dec.b1.bn"], ref["dec.b1.bn"]
+        for field in ("mean", "variance", "gamma", "beta"):
+            assert np.array_equal(getattr(bn, field), getattr(ref_bn, field))
+        assert bn.eps == ref_bn.eps
 
 
 class TestVerifyEquivalence:

@@ -1,4 +1,5 @@
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,19 @@ class TestFormatErrors:
         with pytest.raises(WeightFormatError, match="bias"):
             load_weights(path)
         del c
+
+    def test_second_bias_record_rejected(self, tmp_path):
+        kernel = ConvKernel(np.zeros((1, 1, 1, 2), dtype=np.float32),
+                            np.array([1.0, 2.0], dtype=np.float32))
+        path = tmp_path / "w.fcnw"
+        save_weights(WeightContainer({"a": kernel}), path)
+        blob = path.read_bytes()
+        # a second "a.bias" record, holding [7, 8]
+        extra = struct.pack("<H6sBBI", 6, b"a.bias", 0, 1, 2) + np.array([7, 8], "<f4").tobytes()
+        path.write_bytes(blob + extra)
+        message = f"record at byte offset {len(blob)}: duplicate bias record 'a.bias'"
+        with pytest.raises(WeightFormatError, match=f"^{re.escape(message)}$"):
+            load_weights(path)
 
     def test_bad_tensor_values_name_record_offset(self, container, tmp_path):
         path = tmp_path / "w.fcnw"
