@@ -12,6 +12,7 @@ rasters use a minimal little-endian format:
 from __future__ import annotations
 
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -21,6 +22,10 @@ from .tensor import Tensor4
 
 DEPTH_MAGIC = b"DPTH"
 DEPTH_VERSION = 1
+# "P6", then width, height and maxval, each after whitespace or "#" comments
+# running to the end of their line, then the one whitespace byte before the raster;
+# at most 9 digits a field, so int() never meets its 4300-digit limit
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
 
 
 class FileFormatError(ValueError):
@@ -42,32 +47,16 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 def read_ppm(path) -> np.ndarray:
     """Read a binary P6 pixmap into a non-empty (h, w, 3) uint8 array."""
     blob = Path(path).read_bytes()
-    if not blob.startswith(b"P6"):
-        raise FileFormatError(f"{path}: not a binary P6 pixmap")
-    pos = 2
-    fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos] != ord("\n"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        token = blob[start:pos]
-        if not token.isdigit():
-            raise FileFormatError(f"{path}: malformed header token {token!r}")
-        fields.append(int(token))
-    pos += 1  # single whitespace byte after maxval
-    w, h, maxval = fields
+    header = _PPM_HEADER.match(blob)
+    if header is None:
+        raise FileFormatError(f"{path}: not a binary P6 pixmap (starts {blob[:16]!r})")
+    w, h, maxval = map(int, header.groups())
     if w == 0 or h == 0:
         raise FileFormatError(f"{path}: empty image, header says {w}x{h} pixels")
     if maxval != 255:
         raise FileFormatError(f"{path}: only maxval 255 supported, got {maxval}")
     expected = w * h * 3
-    pixels = blob[pos : pos + expected]
+    pixels = blob[header.end() : header.end() + expected]
     if len(pixels) != expected:
         raise FileFormatError(
             f"{path}: truncated pixel data ({len(pixels)} of {expected} bytes)"

@@ -125,14 +125,15 @@ def shape_trace(graph: LayerGraph) -> list[tuple[str, tuple[int, int, int, int]]
     return [(layer.name, layer.out_shape) for layer in graph.layers]
 
 
+def _same_shape(shapes, a):
+    return shapes[0]
+
+
 def _conv_shape(shapes, a):
     n, h, w, _ = shapes[0]
     pt, pb, pl, pr = a["pads"]
-    oh = (h + pt + pb - a["kh"]) // a["stride"] + 1
-    ow = (w + pl + pr - a["kw"]) // a["stride"] + 1
-    if oh < 1 or ow < 1:
-        raise ValueError("zero-size output")
-    return (n, oh, ow, a["cout"])
+    return (n, (h + pt + pb - a["kh"]) // a["stride"] + 1,
+            (w + pl + pr - a["kw"]) // a["stride"] + 1, a["cout"])
 
 
 def _deconv_shape(shapes, a):
@@ -142,8 +143,6 @@ def _deconv_shape(shapes, a):
 
 def _pool_shape(shapes, a):
     n, h, w, c = shapes[0]
-    if h % 2 or w % 2:
-        raise ValueError(f"maxpool2 needs even dims, got {h}x{w}")
     return (n, h // 2, w // 2, c)
 
 
@@ -152,24 +151,9 @@ def _up2_shape(shapes, a):
     return (n, 2 * h, 2 * w, c)
 
 
-def _add_shape(shapes, a):
-    if shapes[0] != shapes[1]:
-        raise ValueError(f"cannot add shapes {shapes[0]} and {shapes[1]}")
-    return shapes[0]
-
-
-def _interleave_shape(shapes, a):
-    if len(set(shapes)) != 1:
-        raise ValueError(f"interleave inputs disagree: {sorted(set(shapes))}")
-    return _up2_shape(shapes, a)
-
-
 def _crop_shape(shapes, a):
-    n, h, w, c = shapes[0]
-    th, tw = a["target_h"], a["target_w"]
-    if th > h or tw > w:
-        raise ValueError(f"crop target {th}x{tw} exceeds {h}x{w}")
-    return (n, th, tw, c)
+    n, _, _, c = shapes[0]
+    return (n, a["target_h"], a["target_w"], c)
 
 
 def _conv_macs(layer: Layer) -> int:
@@ -181,9 +165,10 @@ def _conv_macs(layer: Layer) -> int:
 class Op:
     """Everything the package knows about one layer kind.
 
-    `shape` maps the input shapes and the layer attributes to the output
-    shape, raising ValueError on inputs the kind cannot take. `run` maps the
-    layer attributes, the input tensors and the weight entry to the output.
+    `shape` is a formula from the input shapes and the layer attributes to
+    the output shape, and checks nothing. `run` maps the layer attributes,
+    the input tensors and the weight entry to the output; the op checks its
+    operands there, and infer names the layer whose op rejects them.
     `weight` is the entry the layer needs: "conv" (a ConvKernel),
     "batchnorm" (BatchNormParams) or None. `macs` counts one image's
     multiply-accumulates. An `in_place` kind's run also takes `out`, an
@@ -207,16 +192,14 @@ OPS: dict[str, Op] = {
     # convolutions execute exactly this many
     "deconv": Op(_deconv_shape, lambda a, xs, w: ops.deconv2d(xs[0], w, a["stride"]),
                  "conv", lambda layer: _conv_macs(layer) // layer.attrs["stride"] ** 2),
-    "bn": Op(lambda shapes, a: shapes[0],
-             lambda a, xs, w, out=None: ops.batchnorm_infer(xs[0], w, out),
+    "bn": Op(_same_shape, lambda a, xs, w, out=None: ops.batchnorm_infer(xs[0], w, out),
              "batchnorm", in_place=True),
-    "relu": Op(lambda shapes, a: shapes[0], lambda a, xs, w, out=None: ops.relu(xs[0], out),
-               in_place=True),
+    "relu": Op(_same_shape, lambda a, xs, w, out=None: ops.relu(xs[0], out), in_place=True),
     "maxpool2": Op(_pool_shape, lambda a, xs, w: ops.maxpool2(xs[0])),
     "nearest_up2": Op(_up2_shape, lambda a, xs, w: ops.nearest_up2(xs[0])),
     "unpool_zero2": Op(_up2_shape, lambda a, xs, w: ops.unpool_zero2(xs[0])),
-    "add": Op(_add_shape, lambda a, xs, w, out=None: ops.add(xs[0], xs[1], out), in_place=True),
-    "interleave4": Op(_interleave_shape, lambda a, xs, w: interleave4(*xs)),
+    "add": Op(_same_shape, lambda a, xs, w, out=None: ops.add(xs[0], xs[1], out), in_place=True),
+    "interleave4": Op(_up2_shape, lambda a, xs, w: interleave4(*xs)),
     "crop": Op(_crop_shape,
                lambda a, xs, w: Tensor4(xs[0].data[:, : a["target_h"], : a["target_w"]])),
 }
@@ -239,10 +222,7 @@ class _Builder:
         for src in inputs:
             if src not in self.shapes:
                 raise ValueError(f"layer {name!r} references unknown input {src!r}")
-        try:
-            out_shape = OPS[kind].shape([self.shapes[s] for s in inputs], attrs)
-        except ValueError as err:
-            raise ValueError(f"layer {name!r}: {err}") from None
+        out_shape = OPS[kind].shape([self.shapes[s] for s in inputs], attrs)
         self.layers.append(Layer(name, kind, tuple(inputs), out_shape, attrs))
         self.shapes[name] = out_shape
         return name
@@ -283,7 +263,7 @@ def _merge_skip(b: _Builder, tag: str, src: str, target: str) -> str:
     nearest-neighbour 2x upsampling until the spatial sizes match: the two
     commute, and both then run on the narrower, smaller tensor.
     """
-    th, tw, tc = b.shape(target)[1:]
+    _, th, _, tc = b.shape(target)
     x = src
     if b.shape(x)[3] != tc:
         x = _conv(b, f"skip.{tag}.proj", x, 1, 1, tc)
@@ -291,10 +271,6 @@ def _merge_skip(b: _Builder, tag: str, src: str, target: str) -> str:
     while b.shape(x)[1] < th:
         x = b.add("nearest_up2", f"skip.{tag}.up{step}", (x,))
         step += 1
-    if b.shape(x)[1:3] != (th, tw):
-        raise ValueError(
-            f"skip {tag}: cannot align {b.shape(src)[1:3]} to {(th, tw)}"
-        )
     return b.add("add", f"skip.{tag}.add", (target, x))
 
 
@@ -366,8 +342,6 @@ def build_model(spec: ModelSpec) -> LayerGraph:
         chans = [bott_c >> i for i in range(1, n_blocks + 1)]
     else:
         chans = [bott_c >> i for i in range(1, n_blocks)] + [1]
-    if min(chans) < 1:
-        raise ValueError(f"width_div {div} leaves the decoder with zero-width layers")
 
     for j, cout in enumerate(chans, start=1):
         p = f"dec.b{j}"
@@ -392,6 +366,8 @@ def block_graph(decoder: str, h: int, w: int, cin: int, cout: int) -> LayerGraph
     """
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}; expected one of {DECODERS}")
+    if min(h, w, cin, cout) < 1:
+        raise ValueError(f"block sizes must be >= 1, got h={h}, w={w}, cin={cin}, cout={cout}")
     b = _Builder((1, h, w, cin))
     x = _decoder_block(b, decoder, "dec.b1", "image", cout)
     return LayerGraph(b.input_shape, tuple(b.layers), output=x, bottleneck="image")

@@ -53,6 +53,32 @@ class TestPpm:
         with pytest.raises(FileFormatError, match="maxval"):
             read_ppm(path)
 
+    def test_header_without_closing_whitespace_rejected_briefly(self, tmp_path):
+        # the raster runs straight on from maxval: the error quotes the
+        # header's start, not the 921,600 raster bytes
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n640 480 255" + b"\x80" * (640 * 480 * 3))
+        with pytest.raises(FileFormatError, match="P6") as err:
+            read_ppm(path)
+        assert len(str(err.value)) < len(str(path)) + 100
+
+    # "P64 4 255" is not "P6" then width 4; a 5000-digit width is no header
+    @pytest.mark.parametrize("header", [b"P64 4 255\n", b"P6 " + b"4" * 5000 + b" 4 255\n"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(header + bytes(48))
+        with pytest.raises(FileFormatError, match="P6"):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4)])
+    def test_write_rejects_non_rgb_shape(self, tmp_path, shape):
+        with pytest.raises(FileFormatError, match=r"expected \(h, w, 3\) array"):
+            write_ppm(tmp_path / "img.ppm", np.zeros(shape, dtype=np.uint8))
+
+    def test_write_rejects_non_uint8_pixels(self, tmp_path):
+        with pytest.raises(FileFormatError, match="expected uint8 pixels, got float32"):
+            write_ppm(tmp_path / "img.ppm", np.zeros((2, 3, 3), dtype=np.float32))
+
     @pytest.mark.parametrize("size", [b"0 5", b"4 0", b"0 0"])
     def test_zero_size_rejected_naming_file(self, tmp_path, size):
         path = tmp_path / "img.ppm"
@@ -90,6 +116,10 @@ class TestDepthRaster:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(FileFormatError, match="finite"):
             write_depth_raster(tmp_path / "d.dpth", np.array([[np.nan]], dtype=np.float32))
+
+    def test_write_rejects_non_matrix(self, tmp_path):
+        with pytest.raises(FileFormatError, match=r"expected \(h, w\) array, got shape \(2, 3, 1\)"):
+            write_depth_raster(tmp_path / "d.dpth", np.ones((2, 3, 1), dtype=np.float32))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_read_rejected_with_position(self, tmp_path, bad):

@@ -25,6 +25,7 @@ from fcnndepth.models import (
     required_weights,
     shape_trace,
     with_decoder,
+    _Builder,
 )
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
 from fcnndepth.upconv import fast_block_macs, naive_block_macs
@@ -178,6 +179,14 @@ class TestInfer:
         tampered = replace(small_graph, layers=tuple(layers))
         with pytest.raises(ValueError, match=r"'enc\.s2\.b1\.relu1': produced shape"):
             infer(tampered, weights, rand_image(64, 64))
+
+    def test_op_error_names_layer(self):
+        # shape rules check nothing: the op rejects its operands at infer time
+        pool = Layer("pool", "maxpool2", ("image",), (1, 1, 1, 1))
+        graph = LayerGraph((1, 3, 3, 1), (pool,), output="pool", bottleneck="image")
+        message = "layer 'pool': maxpool2 requires even spatial dims, got 3x3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            infer(graph, WeightContainer({}), Tensor4.zeros(1, 3, 3, 1))
 
     @pytest.mark.parametrize("victim,donor", [
         ("dec.b2.up5x5", "dec.b2.bn"),
@@ -361,11 +370,33 @@ class TestBlockGraph:
         with pytest.raises(ValueError, match="decoder"):
             block_graph("bilinear", 4, 4, 2, 2)
 
+    @pytest.mark.parametrize("decoder", DECODERS)
+    @pytest.mark.parametrize("sizes", [(0, 4, 3, 3), (4, 0, 3, 3), (4, 4, 0, 3), (4, 4, 3, 0)])
+    def test_sizes_below_one_rejected(self, decoder, sizes):
+        h, w, cin, cout = sizes
+        message = f"block sizes must be >= 1, got h={h}, w={w}, cin={cin}, cout={cout}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            block_graph(decoder, *sizes)
+
     def test_wrong_input_channels_rejected(self):
         graph = block_graph("upconv_fast", 4, 5, 3, 2)
         weights = random_weights(graph, seed=0)
         with pytest.raises(ValueError, match=re.escape("does not match expected (N, 4, 5, 3)")):
             infer(graph, weights, Tensor4.zeros(1, 4, 5, 2))
+
+
+class TestBuilder:
+    # layer names are the weight keys: a repeated name would share one entry
+    def test_duplicate_name_rejected(self):
+        b = _Builder((1, 4, 4, 2))
+        b.add("relu", "act", ("image",))
+        with pytest.raises(ValueError, match="^duplicate layer name 'act'$"):
+            b.add("relu", "act", ("image",))
+
+    def test_unknown_input_rejected(self):
+        b = _Builder((1, 4, 4, 2))
+        with pytest.raises(ValueError, match="^layer 'act' references unknown input 'stem'$"):
+            b.add("relu", "act", ("stem",))
 
 
 class TestOddResolutionLadder:

@@ -203,6 +203,19 @@ class TestConv2d:
         with pytest.raises(ValueError, match="zero-size"):
             ops.conv2d_padded(x, k, 1, (0, 0, 0, 0))
 
+    @pytest.mark.parametrize("run", [ops.conv2d_padded, ops.deconv2d])
+    def test_stride_below_one_rejected(self, run):
+        x = Tensor4(np.zeros((1, 2, 2, 1), dtype=np.float32))
+        k = ConvKernel(np.zeros((1, 1, 1, 1), dtype=np.float32))
+        with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
+            run(x, k, 0)
+
+    def test_negative_pads_rejected(self):
+        x = Tensor4(np.zeros((1, 4, 4, 1), dtype=np.float32))
+        k = ConvKernel(np.zeros((1, 1, 1, 1), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"padding must be nonnegative, got \(0, -1, 0, 0\)"):
+            ops.conv2d_padded(x, k, 1, (0, -1, 0, 0))
+
     def test_channel_mismatch_rejected(self):
         x = Tensor4(np.zeros((1, 2, 2, 2), dtype=np.float32))
         k = ConvKernel(np.zeros((1, 1, 3, 1), dtype=np.float32))

@@ -68,6 +68,10 @@ class TestConvKernel:
         with pytest.raises(ValueError, match="rank 4"):
             ConvKernel(np.zeros((3, 3, 2)))
 
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError, match=r"kernel dimensions must be >= 1, got \(3, 0, 2, 2\)"):
+            ConvKernel(np.zeros((3, 0, 2, 2), dtype=np.float32))
+
 
 class TestBatchNormParams:
     def test_channels(self):
@@ -78,6 +82,10 @@ class TestBatchNormParams:
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError, match="variance"):
             BatchNormParams(np.zeros(2), np.array([1.0, -0.1]), np.ones(2), np.zeros(2))
+
+    def test_rejects_two_dimensional_field(self):
+        with pytest.raises(ValueError, match="gamma must be 1-D, got rank 2"):
+            BatchNormParams(np.zeros(2), np.ones(2), np.ones((2, 1)), np.zeros(2))
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError, match="eps"):

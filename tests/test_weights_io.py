@@ -333,3 +333,8 @@ class TestSplitContainer:
         fast_weights = random_weights(graph, seed=4)
         with pytest.raises(WeightFormatError, match="no naive"):
             split_container(fast_weights)
+
+    def test_kernel_without_its_batch_norm_fails(self):
+        kernel = ConvKernel(np.zeros((5, 5, 2, 3), dtype=np.float32))
+        with pytest.raises(WeightFormatError, match="no batch-norm entry found for 'dec.b1.up5x5'"):
+            split_container(WeightContainer({"dec.b1.up5x5": kernel}))
