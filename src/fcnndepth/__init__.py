@@ -31,7 +31,6 @@ from .ops import (
     conv2d_padded,
     deconv2d,
     maxpool2,
-    nearest_up2,
     relu,
     unpool_zero2,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "maxpool2",
     "mse_rel_loss",
     "naive_block_macs",
-    "nearest_up2",
     "preset",
     "random_weights",
     "relu",

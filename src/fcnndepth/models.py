@@ -11,7 +11,8 @@ interleave.
 Each layer kind is defined once, as a row of the OPS table: its shape rule
 (used by the builder), run function (infer), weight kind (required_weights,
 random_weights, infer) and multiply-accumulate count (graph_macs).
-Convolutions carry explicit (top, bottom, left, right) padding. Each decoder
+Convolutions carry explicit (top, bottom, left, right) padding and a nearest
+upsampling factor per axis, so no layer builds an upsampled copy. Each decoder
 block is defined once too, in _decoder_block: build_model stacks it, and
 block_graph emits one on its own, the graph behind the up-convolution block
 API, its naive/fast check and the block benchmark.
@@ -131,9 +132,9 @@ def _same_shape(shapes, a):
 
 def _conv_shape(shapes, a):
     n, h, w, _ = shapes[0]
-    pt, pb, pl, pr = a["pads"]
-    return (n, (h + pt + pb - a["kh"]) // a["stride"] + 1,
-            (w + pl + pr - a["kw"]) // a["stride"] + 1, a["cout"])
+    (pt, pb, pl, pr), (uh, uw) = a["pads"], a["up"]
+    return (n, (uh * h + pt + pb - a["kh"]) // a["stride"] + 1,
+            (uw * w + pl + pr - a["kw"]) // a["stride"] + 1, a["cout"])
 
 
 def _deconv_shape(shapes, a):
@@ -185,8 +186,11 @@ class Op:
 # The run functions look up `ops.<kernel>` and `interleave4` when called, so
 # that a wrapper installed on those module attributes sees every call.
 OPS: dict[str, Op] = {
-    "conv": Op(_conv_shape, lambda a, xs, w: ops.conv2d_padded(xs[0], w, a["stride"], a["pads"]),
-               "conv", _conv_macs),
+    # a conv reading its input upsampled by (uh, uw) runs its taps' GEMMs on
+    # the input itself, uh * uw fewer MACs than its output shape suggests
+    "conv": Op(_conv_shape,
+               lambda a, xs, w: ops.conv2d_padded(xs[0], w, a["stride"], a["pads"], a["up"]),
+               "conv", lambda layer: _conv_macs(layer) // math.prod(layer.attrs["up"])),
     # each input pixel meets every kh*kw*cin*cout weight once, stride**2 fewer
     # MACs than a conv with the same output shape; ops.deconv2d's phase
     # convolutions execute exactly this many
@@ -196,7 +200,6 @@ OPS: dict[str, Op] = {
              "batchnorm", in_place=True),
     "relu": Op(_same_shape, lambda a, xs, w, out=None: ops.relu(xs[0], out), in_place=True),
     "maxpool2": Op(_pool_shape, lambda a, xs, w: ops.maxpool2(xs[0])),
-    "nearest_up2": Op(_up2_shape, lambda a, xs, w: ops.nearest_up2(xs[0])),
     "unpool_zero2": Op(_up2_shape, lambda a, xs, w: ops.unpool_zero2(xs[0])),
     "add": Op(_same_shape, lambda a, xs, w, out=None: ops.add(xs[0], xs[1], out), in_place=True),
     "interleave4": Op(_up2_shape, lambda a, xs, w: interleave4(*xs)),
@@ -228,14 +231,15 @@ class _Builder:
         return name
 
 
-def _conv(b: _Builder, name: str, src: str, kh: int, kw: int, cout: int,
-          stride: int = 1, pads: tuple[int, int, int, int] | None = None) -> str:
-    """A conv with explicit (top, bottom, left, right) pads; "same" padding when None."""
+def _conv(b: _Builder, name: str, src: str, kh: int, kw: int, cout: int, stride: int = 1,
+          pads: tuple[int, int, int, int] | None = None, up: tuple[int, int] = (1, 1)) -> str:
+    """A conv of `src` nearest-upsampled by `up`, with explicit (top, bottom,
+    left, right) pads on that grid; "same" padding when None."""
     _, h, w, cin = b.shape(src)
     if pads is None:
-        pads = ops.same_pads(h, kh, stride) + ops.same_pads(w, kw, stride)
+        pads = ops.same_pads(up[0] * h, kh, stride) + ops.same_pads(up[1] * w, kw, stride)
     return b.add("conv", name, (src,), kh=kh, kw=kw, cin=cin, cout=cout,
-                 stride=stride, pads=pads)
+                 stride=stride, pads=pads, up=up)
 
 
 def _residual_block(b: _Builder, prefix: str, src: str, mid: int, cout: int, stride: int) -> str:
@@ -259,28 +263,25 @@ def _residual_block(b: _Builder, prefix: str, src: str, mid: int, cout: int, str
 def _merge_skip(b: _Builder, tag: str, src: str, target: str) -> str:
     """Project an encoder feature onto a decoder output and add them.
 
-    Projection is a 1x1 convolution when the channel counts differ, then
-    nearest-neighbour 2x upsampling until the spatial sizes match: the two
-    commute, and both then run on the narrower, smaller tensor.
+    The projection is a 1x1 convolution that reads the feature
+    nearest-upsampled to the decoder's size, running its GEMM at the
+    feature's own size; it is there only when the channel counts differ,
+    which in every ModelSpec is whenever the sizes do.
     """
-    _, th, _, tc = b.shape(target)
-    x = src
-    if b.shape(x)[3] != tc:
-        x = _conv(b, f"skip.{tag}.proj", x, 1, 1, tc)
-    step = 0
-    while b.shape(x)[1] < th:
-        x = b.add("nearest_up2", f"skip.{tag}.up{step}", (x,))
-        step += 1
+    (_, th, tw, tc), (_, h, w, c) = b.shape(target), b.shape(src)
+    x = src if c == tc else _conv(b, f"skip.{tag}.proj", src, 1, 1, tc, up=(th // h, tw // w))
     return b.add("add", f"skip.{tag}.add", (target, x))
 
 
 def _decoder_block(b: _Builder, decoder: str, prefix: str, x: str, cout: int) -> str:
     """One 2x decoder block of the given kind on `x`, with `cout` output channels."""
     if decoder == "upsampling_nonbt":
-        x = b.add("nearest_up2", f"{prefix}.up", (x,))
-        x = _conv(b, f"{prefix}.conv31", x, 3, 1, cout)
+        # nearest 2x upsampling, then a 3x1 and a 1x3 conv: the 3x1 conv and
+        # its relu act per column, so conv31 reads only the rows upsampled
+        # and conv13 the columns, and no conv runs on a 2x2-replicated grid
+        x = _conv(b, f"{prefix}.conv31", x, 3, 1, cout, up=(2, 1))
         x = b.add("relu", f"{prefix}.relu31", (x,))
-        x = _conv(b, f"{prefix}.conv13", x, 1, 3, cout)
+        x = _conv(b, f"{prefix}.conv13", x, 1, 3, cout, up=(1, 2))
         return b.add("relu", f"{prefix}.relu13", (x,))
     if decoder == "deconv":
         x = b.add("deconv", f"{prefix}.deconv", (x,),

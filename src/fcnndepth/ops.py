@@ -1,5 +1,6 @@
-"""Primitive NHWC inference kernels: convolution, transposed convolution,
-activation, normalization, and 2x resampling.
+"""Primitive NHWC inference kernels: convolution (nearest upsampling
+included), transposed convolution, activation, normalization, and 2x
+resampling.
 
 All operations are pure functions: they never modify their inputs and the
 same inputs always produce bit-identical outputs. The exception is the
@@ -35,6 +36,7 @@ def conv2d_padded(
     kernel: ConvKernel,
     stride: int = 1,
     pads: tuple[int, int, int, int] = (0, 0, 0, 0),
+    up: tuple[int, int] = (1, 1),
 ) -> Tensor4:
     """Strided cross-correlation with explicit (top, bottom, left, right) zero padding.
 
@@ -42,8 +44,13 @@ def conv2d_padded(
     per axis, and the interleaved up-convolution branches pass the
     asymmetric pads of :data:`BRANCHES`.
 
+    A stride-1 conv may read its input nearest-upsampled by ``up = (uh, uw)``,
+    each input pixel standing for a uh x uw block (a resize-convolution);
+    the pads then border the upsampled grid.
+
     Stride 1 accumulates one GEMM per kernel tap ("kn2row") and copies
-    neither an im2col matrix nor a padded input: see :func:`_conv_taps`.
+    neither an im2col matrix nor a padded or upsampled input: see
+    :func:`_conv_taps`.
 
     Stride > 1 (the stem and downsampling convs) runs one matmul of the
     window rows, one per output pixel in the kernel's (kh, kw, cin) order
@@ -54,14 +61,16 @@ def conv2d_padded(
     _check_operands(x, kernel, stride)
     if min(pads) < 0:
         raise ValueError(f"padding must be nonnegative, got {pads}")
-    hp, wp = x.h + pads[0] + pads[1], x.w + pads[2] + pads[3]
+    if min(up) < 1 or (stride > 1 and up != (1, 1)):
+        raise ValueError(f"up must be >= 1, and (1, 1) at stride > 1; got {up}, stride {stride}")
+    hp, wp = up[0] * x.h + pads[0] + pads[1], up[1] * x.w + pads[2] + pads[3]
     if hp < kernel.kh or wp < kernel.kw:
         raise ValueError(
             f"padded input {hp}x{wp} is smaller than "
             f"the {kernel.kh}x{kernel.kw} kernel (zero-size output)"
         )
     if stride == 1:
-        out = _conv_taps(x.data, kernel.weights, pads)
+        out = _conv_taps(x.data, kernel.weights, pads, up)
     else:
         windows = sliding_window_view(_pad(x.data, pads), (kernel.kh, kernel.kw), axis=(1, 2))
         # (N, Ho, Wo, C, kh, kw) -> (N, Ho, Wo, kh, kw, C), the kernel's (kh, kw, cin) order
@@ -82,38 +91,60 @@ def _pad(data: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
     return np.pad(data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
 
 
-def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
-    """Stride-1 cross-correlation of NHWC `x` zero-padded by (top, bottom, left, right).
+def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple, up: tuple = (1, 1)) -> np.ndarray:
+    """Stride-1 cross-correlation of NHWC `x`, nearest-upsampled by `up`, then
+    zero-padded by (top, bottom, left, right).
 
-    The padding is never built. Tap (a, b) is one GEMM of the flat
-    ``(n * h * w, cin)`` input with the (cin, cout) view ``weights[a, b]``,
-    so no kernel is copied either. Input pixel (r, c) feeds output pixel
-    (r + top - a, c + left - b), so the product is added into the output
-    window of rows ``max(0, top - a)`` to ``min(oh, h + top - a)``, and
-    likewise for columns; the pixels outside it would read padding. The
-    taps run in row-major order into a fresh output that starts at zero,
+    Neither the upsampled grid nor the padding is built. Tap (a, b) is one
+    GEMM of the flat ``(n * h * w, cin)`` input with the (cin, cout) view
+    ``weights[a, b]``, so no kernel is copied either. The product is added
+    into the output pixels that read it, through the slices that
+    :func:`_tap_spans` gives once per kernel row and once per kernel column.
+    The taps run in row-major order into a fresh output that starts at zero,
     except that tap (0, 0) writes it directly when it maps the input onto
-    the output one to one, so an unpadded 1x1 conv is a single matmul.
+    the output one to one, so an unpadded 1x1 conv is a single matmul. Each
+    output pixel reads one input pixel per tap, so it sums the same products
+    in the same order as a conv of the upsampled grid.
     """
-    n, h, w, cin = x.shape
-    kh, kw, _, cout = weights.shape
+    (n, h, w, cin), (kh, kw, _, cout) = x.shape, weights.shape
     top, bottom, left, right = pads
-    oh, ow = h + top + bottom - kh + 1, w + left + right - kw + 1
+    oh, ow = up[0] * h + top + bottom - kh + 1, up[1] * w + left + right - kw + 1
     flat = x.reshape(n * h * w, cin)
     taps = [(a, b) for a in range(kh) for b in range(kw)]
-    if (top, left, oh, ow) == (0, 0, h, w):
+    if (top, left, oh, ow, up) == (0, 0, h, w, (1, 1)):
         out = np.matmul(flat, weights[0, 0]).reshape(n, h, w, cout)
         taps = taps[1:]
     else:
         out = np.zeros((n, oh, ow, cout), dtype=x.dtype)
-    prod = np.empty((n, h, w, cout), dtype=x.dtype) if taps else None
+    if taps:
+        prod = np.empty((n, h, w, cout), dtype=x.dtype)
+        rows = [list(_tap_spans(h, oh, a - top, up[0])) for a in range(kh)]
+        cols = [list(_tap_spans(w, ow, b - left, up[1])) for b in range(kw)]
     for a, b in taps:
-        r0, r1 = max(0, top - a), min(oh, h + top - a)
-        c0, c1 = max(0, left - b), min(ow, w + left - b)
-        if r0 < r1 and c0 < c1:
+        if rows[a] and cols[b]:
             np.matmul(flat, weights[a, b], out=prod.reshape(n * h * w, cout))
-            out[:, r0:r1, c0:c1] += prod[:, r0 + a - top:r1 + a - top, c0 + b - left:c1 + b - left]
+            for out_r, in_r in rows[a]:
+                for out_c, in_c in cols[b]:
+                    out[:, out_r, out_c] += prod[:, in_r, in_c]
     return out
+
+
+def _tap_spans(size: int, out_size: int, shift: int, up: int):
+    """One axis of one tap: yields the (output, input) slices its product is added through.
+
+    Output sample ``o`` reads sample ``o + shift`` of the input upsampled by
+    `up`, which is input sample ``(o + shift) // up``. Phase ``p`` holds the
+    outputs ``o = p + up * m``, ``ceil((out_size - p) / up)`` of them; they
+    read input ``m + d`` with ``d = (p + shift) // up``, so those inside the
+    input are ``max(0, -d) <= m < min(ceil((out_size - p) / up), size - d)``.
+    Empty phases yield nothing. With ``up = 1`` this is the one window of
+    outputs ``max(0, -shift)`` to ``min(out_size, size - shift)``.
+    """
+    for p in range(up):
+        d = (p + shift) // up
+        m0, m1 = max(0, -d), min((out_size - p + up - 1) // up, size - d)
+        if m0 < m1:
+            yield slice(p + up * m0, p + up * m1, up), slice(m0 + d, m1 + d)
 
 
 def phase_split(k: int, stride: int, lead: int, phase: int) -> tuple[int, int, tuple[int, int]]:
@@ -231,11 +262,6 @@ def maxpool2(x: Tensor4) -> Tensor4:
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 requires even spatial dims, got {h}x{w}")
     return Tensor4(x.data.reshape(n, h // 2, 2, w // 2, 2, c).max(axis=(2, 4)))
-
-
-def nearest_up2(x: Tensor4) -> Tensor4:
-    """Nearest-neighbour 2x upsampling (each cell replicated into a 2x2 block)."""
-    return Tensor4(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2))
 
 
 def unpool_zero2(x: Tensor4) -> Tensor4:

@@ -70,10 +70,13 @@ def _record(name: str, kind: int, array: np.ndarray) -> tuple[bytes, np.ndarray]
 
 
 def save_weights(container: WeightContainer, path) -> None:
-    """Serialize a float32 container; loading the result reproduces it exactly.
+    """Serialize a float32 container; loading the result reproduces it exactly,
+    except that a batch norm's eps is stored rounded to float32.
 
-    Every entry is checked before the file is opened; each float32 array is
-    then written from its own buffer, so saving makes no copy of the weights.
+    Every entry is checked before the file is opened, including that its eps
+    stays positive and finite in float32, as loading requires; each float32
+    array is then written from its own buffer, so saving makes no copy of
+    the weights.
     """
     records = []
     for name, entry in container.entries.items():
@@ -82,8 +85,13 @@ def save_weights(container: WeightContainer, path) -> None:
             if entry.bias is not None:
                 records.append(_record(f"{name}.bias", _KIND_CONV, entry.bias))
         elif isinstance(entry, BatchNormParams):
+            with np.errstate(over="ignore"):
+                eps = np.float32(entry.eps)
+            if not 0 < eps < np.inf:
+                raise WeightFormatError(f"entry {name!r} has eps {entry.eps}, which is {eps} "
+                                        "in float32; the format stores a positive finite float32")
             rows = (entry.mean, entry.variance, entry.gamma, entry.beta)
-            block = np.array([*rows, np.full(entry.channels, entry.eps)], dtype=np.float32)
+            block = np.array([*rows, np.full(entry.channels, eps)], dtype=np.float32)
             records.append(_record(name, _KIND_BATCHNORM, block))
         else:
             raise WeightFormatError(f"entry {name!r} has unsupported type {type(entry)}")

@@ -52,6 +52,20 @@ def conv2d_loop_ref(
     return out
 
 
+def nearest_up2(x: Tensor4, up: tuple[int, int] = (2, 2)) -> Tensor4:
+    """Nearest-neighbour upsampling, 2x per axis unless `up` says otherwise.
+
+    Output pixel (r, c) is input pixel (r // uh, c // uw): the explicit grid
+    that ``ops.conv2d_padded(x, kernel, 1, pads, up)`` reads without building.
+    """
+    (n, h, w, c), (uh, uw) = x.shape, up
+    out = np.empty((n, uh * h, uw * w, c), dtype=x.dtype)
+    for r in range(uh * h):
+        for s in range(uw * w):
+            out[:, r, s] = x.data[:, r // uh, s // uw]
+    return Tensor4(out)
+
+
 def same_pads_ref(size: int, k: int, stride: int) -> tuple[int, int]:
     out = -(-size // stride)
     total = max((out - 1) * stride + k - size, 0)

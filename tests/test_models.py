@@ -30,7 +30,7 @@ from fcnndepth.models import (
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
 from fcnndepth.upconv import fast_block_macs, naive_block_macs
 from fcnndepth.weights_io import WeightContainer, split_container
-from helpers import infer_ref
+from helpers import infer_ref, nearest_up2
 
 
 def rand_image(h, w, seed=0, n=1):
@@ -94,17 +94,21 @@ class TestShapeContracts:
 
     @pytest.mark.parametrize("name", ["basic-sc-upconv", "basic-sc-upconv-fast"])
     def test_skips_project_before_upsampling(self, name):
-        # a 1x1 conv commutes with nearest upsampling, so the skip is narrowed first
-        skips = [(n, s) for n, s in shape_trace(build_model(preset(name))) if n.startswith("skip.")]
+        # a 1x1 conv commutes with nearest upsampling, so the projection reads
+        # the skip upsampled and runs its GEMM at the skip's own size
+        graph = build_model(preset(name))
+        shapes = dict(shape_trace(graph))
+        skips = [(l.name, l.out_shape, l.attrs.get("up")) for l in graph.layers
+                 if l.name.startswith("skip.")]
         assert skips == [
-            ("skip.b3.proj", (1, 60, 80, 256)),
-            ("skip.b3.up0", (1, 120, 160, 256)),
-            ("skip.b3.add", (1, 120, 160, 256)),
-            ("skip.b5.proj", (1, 120, 160, 1)),
-            ("skip.b5.up0", (1, 240, 320, 1)),
-            ("skip.b5.up1", (1, 480, 640, 1)),
-            ("skip.b5.add", (1, 480, 640, 1)),
+            ("skip.b3.proj", (1, 120, 160, 256), (2, 2)),
+            ("skip.b3.add", (1, 120, 160, 256), None),
+            ("skip.b5.proj", (1, 480, 640, 1), (4, 4)),
+            ("skip.b5.add", (1, 480, 640, 1), None),
         ]
+        for proj in (l for l in graph.layers if l.name in ("skip.b3.proj", "skip.b5.proj")):
+            _, h, w, cin = shapes[proj.inputs[0]]
+            assert OPS["conv"].macs(proj) == h * w * cin * proj.attrs["cout"]
 
     def test_graph_construction_deterministic(self):
         a = build_model(preset("basic-sc-nonbt", width_div=8))
@@ -366,6 +370,19 @@ class TestBlockGraph:
         assert block.input_shape == (1, h, w, cin)
         assert block.output == first[-1].name
 
+    @pytest.mark.parametrize("h,w", [(1, 1), (3, 5), (6, 4)])
+    def test_nonbt_block_is_nearest_up2_then_both_convs(self, h, w):
+        # the non-bottleneck block: nearest 2x upsampling, then conv 3x1, relu,
+        # conv 1x3, relu, each "same"-padded on the 2h x 2w grid
+        graph = block_graph("upsampling_nonbt", h, w, 6, 4)
+        weights = random_weights(graph, seed=26, dtype=np.float64)
+        x = Tensor4(np.random.default_rng(27).standard_normal((1, h, w, 6)))
+        ref = ops.relu(ops.conv2d_padded(nearest_up2(x), weights["dec.b1.conv31"], 1, (1, 1, 0, 0)))
+        ref = ops.relu(ops.conv2d_padded(ref, weights["dec.b1.conv13"], 1, (0, 0, 1, 1)))
+        out = infer(graph, weights, x)
+        assert out.shape == ref.shape == (1, 2 * h, 2 * w, 4)
+        np.testing.assert_allclose(out.data, ref.data, rtol=1e-12, atol=1e-12)
+
     def test_unknown_decoder_rejected(self):
         with pytest.raises(ValueError, match="decoder"):
             block_graph("bilinear", 4, 4, 2, 2)
@@ -426,12 +443,26 @@ class TestOddResolutionLadder:
 
 class TestOpTable:
     def test_every_kind_is_used_and_defined(self):
-        used = {
-            layer.kind
-            for name in PRESETS
-            for layer in build_model(preset(name, input_h=48, input_w=64, width_div=8)).layers
-        }
-        assert used == set(OPS)
+        # a kind no graph emits is dead code in the runtime
+        graphs = [build_model(preset(name, input_h=48, input_w=64, width_div=8)) for name in PRESETS]
+        graphs += [block_graph(decoder, 4, 5, 6, 3) for decoder in DECODERS]
+        assert {layer.kind for graph in graphs for layer in graph.layers} == set(OPS)
+
+    def test_adds_have_equal_input_shapes(self):
+        # every skip meets a decoder output of its own size once projected, and
+        # every residual add its shortcut, at every ModelSpec size class
+        sizes = range(32, 657, 48)  # alternately divisible by 32 and by 16 only
+        adds = 0
+        for name in PRESETS:
+            for h in sizes:
+                for w in sizes:
+                    graph = build_model(preset(name, input_h=h, input_w=w, width_div=8))
+                    shapes = dict(shape_trace(graph))
+                    for layer in graph.layers:
+                        if layer.kind == "add":
+                            adds += 1
+                            assert shapes[layer.inputs[0]] == shapes[layer.inputs[1]], layer.name
+        assert adds
 
     @pytest.mark.parametrize("res", [(64, 64), (48, 96)])
     def test_upconv_mac_saving_matches_block_formulas(self, res):
@@ -548,11 +579,12 @@ class TestInPlaceOracle:
 # tracemalloc peaks of infer at 480x640, width /8, random_weights seed 0, when
 # these bounds were set. The stem's 7x7/2 window matrix (240 * 320 rows of
 # 147 float32 values, about 45 MB) sets the 51.4 MB peak of all eight
-# presets. The nonbt presets' last conv31 on the upsampled grid comes next
-# at 39.4 MB: its input, its output and one tap's product. It set their
-# 59.1 MB peak while stride-1 convs padded a copy of their input. The window
-# matrix is the same at any width, so the bounds are absolute, not relative
-# to the graph's largest activation.
+# presets. The nonbt presets' last conv13 comes next at 19.8 MB: its
+# 480x320 input, its 480x640 output and one tap's product. Their last conv31
+# read 39.4 MB while it ran on a built nearest-upsampled grid, and 59.1 MB
+# while stride-1 convs padded a copy of their input. The window matrix is
+# the same at any width, so the bounds are absolute, not relative to the
+# graph's largest activation.
 INFER_PEAK_MB = {
     "basic-deconv": 51.4, "basic-sc-deconv": 51.4, "lite-upconv": 51.4, "lite-upconv-fast": 51.4,
     "basic-sc-nonbt": 51.4, "lite-sc-nonbt": 51.4,

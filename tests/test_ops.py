@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from fcnndepth import ops
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
-from helpers import conv2d_loop_ref, deconv2d_scatter_ref, deconv2d_stuffed_ref, same_pads_ref
+from helpers import (
+    conv2d_loop_ref, deconv2d_scatter_ref, deconv2d_stuffed_ref, nearest_up2, same_pads_ref,
+)
 
 
 def rand_tensor(rng, shape, dtype=np.float32):
@@ -196,6 +198,53 @@ class TestConv2d:
         if h >= kh and w >= kw:
             valid = ops.conv2d_padded(x, k, stride, (0, 0, 0, 0))
             assert valid.shape[1:3] == ((h - kh) // stride + 1, (w - kw) // stride + 1)
+
+    # 1-pixel and odd sizes, up to 3x per axis, independent pads on all four
+    # sides, kernels larger than the input, bias on and off, both dtypes
+    UPSAMPLED_CASES = dict(
+        n=st.integers(1, 2), h=st.integers(1, 5), w=st.integers(1, 5),
+        cin=st.integers(1, 4), cout=st.integers(1, 3), kh=st.integers(1, 4),
+        kw=st.integers(1, 4), up=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        pads=st.tuples(*[st.integers(0, 3)] * 4), bias=st.booleans(),
+        dtype=st.sampled_from(DTYPES), seed=st.integers(0, 2**16),
+    )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(**UPSAMPLED_CASES)
+    def test_upsampled_conv_matches_loop_reference_on_explicit_grid(
+        self, n, h, w, cin, cout, kh, kw, up, pads, bias, dtype, seed
+    ):
+        # The conv reads x nearest-upsampled by `up` without building it; the
+        # loop reference runs on the grid built by the helper.
+        pt, pb, pl, pr = pads
+        pads = (pt, pb + max(kh - (up[0] * h + pt + pb), 0),
+                pl, pr + max(kw - (up[1] * w + pl + pr), 0))
+        rng = np.random.default_rng(seed)
+        x = rand_tensor(rng, (n, h, w, cin), dtype)
+        k = rand_kernel(rng, kh, kw, cin, cout, bias=bias, dtype=dtype)
+        out = ops.conv2d_padded(x, k, 1, pads, up)
+        ref = conv2d_loop_ref(nearest_up2(x, up), k, 1, pads)
+        assert out.shape == ref.shape
+        assert out.dtype == dtype
+        tol = (1e-5 if dtype == np.float32 else 1e-12) * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(out.data - ref)) <= tol
+
+    @pytest.mark.parametrize("stride,up", [(1, (0, 1)), (1, (2, -1)), (2, (2, 2)), (2, (1, 2))])
+    def test_bad_upsampling_rejected(self, stride, up):
+        # below 1 on an axis, or any upsampling at stride > 1
+        x = Tensor4(np.zeros((1, 4, 4, 1), dtype=np.float32))
+        k = ConvKernel(np.zeros((1, 1, 1, 1), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"up must be >= 1, and \(1, 1\) at stride > 1; "
+                                             r"got \(%d, %d\), stride %d" % (*up, stride)):
+            ops.conv2d_padded(x, k, stride, (0, 0, 0, 0), up)
+
+    def test_upsampled_input_smaller_than_kernel_rejected(self):
+        # the size check is on the upsampled grid: 2 * 1 + 0 rows < 3 taps
+        x = Tensor4(np.zeros((1, 1, 4, 1), dtype=np.float32))
+        k = ConvKernel(np.zeros((3, 1, 1, 1), dtype=np.float32))
+        with pytest.raises(ValueError, match="padded input 2x4 is smaller than the 3x1 kernel"):
+            ops.conv2d_padded(x, k, 1, (0, 0, 0, 0), (2, 1))
+        assert ops.conv2d_padded(x, k, 1, (0, 0, 0, 0), (3, 1)).shape == (1, 1, 4, 1)
 
     def test_valid_zero_size_rejected(self):
         x = Tensor4(np.zeros((1, 2, 2, 1), dtype=np.float32))
@@ -450,14 +499,14 @@ class TestResample:
 
     def test_nearest_up2_definition(self):
         x = Tensor4(np.full((1, 1, 1, 1), 2.5, dtype=np.float32))
-        out = ops.nearest_up2(x).data[0, :, :, 0]
+        out = nearest_up2(x).data[0, :, :, 0]
         assert np.array_equal(out, np.full((2, 2), 2.5, dtype=np.float32))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_maxpool_inverts_nearest_up(self, seed):
         rng = np.random.default_rng(seed + 70)
         x = rand_tensor(rng, (2, int(rng.integers(1, 7)), int(rng.integers(1, 7)), 3))
-        roundtrip = ops.maxpool2(ops.nearest_up2(x))
+        roundtrip = ops.maxpool2(nearest_up2(x))
         assert np.array_equal(roundtrip.data, x.data)
 
     def test_maxpool_takes_block_maxima(self):
@@ -479,18 +528,19 @@ class TestResample:
 
     @staticmethod
     def project_both_ways(x, k):
-        """A 1x1 conv then nearest_up2, and nearest_up2 then the same conv."""
-        first = ops.nearest_up2(ops.conv2d_padded(x, k, 1, (0, 0, 0, 0)))
-        last = ops.conv2d_padded(ops.nearest_up2(x), k, 1, (0, 0, 0, 0))
+        """A 1x1 conv reading x upsampled by (2, 2), and the same conv on nearest_up2's grid."""
+        first = ops.conv2d_padded(x, k, 1, (0, 0, 0, 0), (2, 2))
+        last = ops.conv2d_padded(nearest_up2(x), k, 1, (0, 0, 0, 0))
         assert first.dtype == last.dtype == x.dtype
         return first.data, last.data
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(**PROJECTION_CASES)
     def test_1x1_conv_commutes_with_nearest_up2(self, n, h, w, cin, cout, bias, dtype, seed):
-        # Each output pixel is the same dot product either way. On small
-        # integers every product and sum is exact, so the two orders agree
-        # bit for bit whatever order the GEMM sums in.
+        # Each output pixel is the same dot product either way: one GEMM row
+        # of x, or of its copy in the explicit grid. On small integers every
+        # product and sum is exact, so the two agree bit for bit whatever
+        # order the GEMMs sum in.
         rng = np.random.default_rng(seed)
         x = Tensor4(rng.integers(-8, 9, (n, h, w, cin)).astype(dtype))
         b = rng.integers(-8, 9, cout).astype(dtype) if bias else None
@@ -505,13 +555,14 @@ class TestResample:
         self, n, h, w, cin, cout, bias, dtype, seed
     ):
         # On general values the GEMM may round one pixel's dot product
-        # differently at a different row count or position, so the orders
-        # agree to within the dot product's rounding bound, not bit for bit.
+        # differently at a different row count or position (the explicit
+        # grid has 4x the rows), so the two agree to within the dot
+        # product's rounding bound, not bit for bit.
         rng = np.random.default_rng(seed)
         x = rand_tensor(rng, (n, h, w, cin), dtype)
         k = rand_kernel(rng, 1, 1, cin, cout, bias=bias, dtype=dtype)
         first, last = self.project_both_ways(x, k)
-        scale = np.abs(ops.nearest_up2(x).data) @ np.abs(k.weights[0, 0])
+        scale = np.abs(nearest_up2(x).data) @ np.abs(k.weights[0, 0])
         if bias:
             scale += np.abs(k.bias)
         assert np.all(np.abs(first - last) <= 2 * (cin + 1) * np.finfo(dtype).eps * scale)

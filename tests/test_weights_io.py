@@ -136,6 +136,27 @@ class TestRoundTrip:
                 save_weights(bad, path)
             assert path.read_bytes() == b"previous contents"
 
+    @pytest.mark.parametrize("eps,rounded", [(1e-50, "0.0"), (1e39, "inf")])
+    def test_eps_outside_float32_rejected(self, container, tmp_path, eps, rounded):
+        # 1e-50 rounds to 0 and 1e39 overflows to inf in float32: either file
+        # would be refused by load_weights' "eps must be positive and finite"
+        path = tmp_path / "w.fcnw"
+        path.write_bytes(b"previous contents")
+        bn = container["stem.bn"]
+        bad = WeightContainer({**container.entries, "stem.bn": BatchNormParams(
+            bn.mean, bn.variance, bn.gamma, bn.beta, eps=eps)})
+        message = f"entry 'stem.bn' has eps {eps}, which is {rounded} in float32"
+        with pytest.raises(WeightFormatError, match=re.escape(message)):
+            save_weights(bad, path)
+        assert path.read_bytes() == b"previous contents"
+
+    def test_eps_is_stored_rounded_to_float32(self, container, tmp_path):
+        bn = container["stem.bn"]
+        default = WeightContainer({"bn": BatchNormParams(bn.mean, bn.variance, bn.gamma, bn.beta)})
+        save_weights(default, tmp_path / "w.fcnw")
+        loaded = load_weights(tmp_path / "w.fcnw")["bn"].eps
+        assert loaded == float(np.float32(1e-5)) != 1e-5
+
 
 class TestFormatErrors:
     def test_bad_magic(self, container, tmp_path):
