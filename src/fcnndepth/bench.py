@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import ops
 from .models import ModelSpec, block_graph, build_model, graph_macs, infer, random_weights
 from .tensor import Tensor4
 
@@ -62,7 +63,9 @@ def time_callable(fn, warmup: int, iters: int) -> dict[str, float]:
 
 
 def environment() -> dict:
-    """numpy and BLAS versions, CPU count and BLAS thread settings of this process.
+    """numpy and BLAS versions, CPU count, BLAS thread settings of this
+    process, and ``conv_workers``, the number of threads convolutions run
+    their row bands on.
 
     Timings from different machines or thread settings are not comparable;
     the bench report carries this block so that a reader can tell.
@@ -79,6 +82,7 @@ def environment() -> dict:
         "cpu_count": os.cpu_count(),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
+        "conv_workers": ops.THREADS,
     }
 
 

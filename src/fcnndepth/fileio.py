@@ -33,13 +33,15 @@ class FileFormatError(ValueError):
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
-    """Write an (h, w, 3) uint8 array as a binary P6 pixmap."""
+    """Write a non-empty (h, w, 3) uint8 array as a binary P6 pixmap."""
     arr = np.asarray(rgb)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise FileFormatError(f"expected (h, w, 3) array, got {arr.shape}")
     if arr.dtype != np.uint8:
         raise FileFormatError(f"expected uint8 pixels, got {arr.dtype}")
     h, w = arr.shape[:2]
+    if h == 0 or w == 0:
+        raise FileFormatError(f"empty image, got {w}x{h} pixels")
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     Path(path).write_bytes(header + arr.tobytes())
 
@@ -70,13 +72,15 @@ def image_to_tensor(rgb: np.ndarray) -> Tensor4:
 
 
 def write_depth_raster(path, depth: np.ndarray) -> None:
-    """Write an (h, w) float32 depth map; all values must be finite."""
+    """Write a non-empty (h, w) float32 depth map; all values must be finite."""
     arr = np.asarray(depth, dtype=np.float32)
     if arr.ndim != 2:
         raise FileFormatError(f"expected (h, w) array, got shape {arr.shape}")
+    h, w = arr.shape
+    if h == 0 or w == 0:
+        raise FileFormatError(f"empty raster, got {w}x{h} values")
     if not np.isfinite(arr).all():
         raise FileFormatError("depth raster contains non-finite values")
-    h, w = arr.shape
     with open(path, "wb") as f:
         f.write(DEPTH_MAGIC + bytes([DEPTH_VERSION]) + struct.pack("<II", w, h))
         f.write(np.ascontiguousarray(arr, dtype="<f4").data)

@@ -5,16 +5,35 @@ resampling.
 All operations are pure functions: they never modify their inputs and the
 same inputs always produce bit-identical outputs. The exception is the
 numpy-style `out` of relu, batchnorm_infer and add: they write the same bits
-into it, which may be their first input's array. Operands share one dtype,
-which the output keeps. "Convolution" means cross-correlation (no kernel
-flip), the usual deep-learning convention.
+into it, which may be their first input's array. Convolutions run in bands
+of output rows on a thread pool, one thread per usable CPU. Both properties
+hold there too, because the band split depends only on the conv's shapes,
+never on the thread count, and no two bands write the same output.
+Operands share one dtype, which the output keeps. "Convolution" means
+cross-correlation (no kernel flip), the usual deep-learning convention.
 """
 from __future__ import annotations
+
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import BatchNormParams, ConvKernel, Tensor4
+
+# A conv of at least PARALLEL_MACS multiply-accumulates per image splits
+# into at least two bands of output rows, and into enough bands that none
+# needs more than about BAND_BYTES of scratch (see _bands). Both were set by
+# measurement on a 2-core x86-64 host; see CHANGES.md.
+PARALLEL_MACS = 5_000_000
+BAND_BYTES = 4_000_000
+# The bands run on the calling thread and THREADS - 1 pool workers, one
+# thread per CPU this process may run on.
+THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(THREADS - 1, "fcnndepth-band") if THREADS > 1 else None
+
 
 def _check_operands(x: Tensor4, kernel: ConvKernel, stride: int) -> None:
     if x.c != kernel.cin:
@@ -52,10 +71,13 @@ def conv2d_padded(
     neither an im2col matrix nor a padded or upsampled input: see
     :func:`_conv_taps`.
 
-    Stride > 1 (the stem and downsampling convs) runs one matmul of the
-    window rows, one per output pixel in the kernel's (kh, kw, cin) order
-    (runs of kw * cin contiguous values), with the kernel as stored.
-    Per-tap GEMMs lose on the 3-channel stem: its 49 with K = 3 took
+    Stride > 1 (the stem and downsampling convs) multiplies window rows,
+    one per output pixel in the kernel's (kh, kw, cin) order (runs of
+    kw * cin contiguous values), by the kernel as stored. Each band of
+    output rows (:func:`_bands`) copies its window rows into its thread's
+    scratch and multiplies them straight into its rows of the output, so
+    the copy is bounded by the band, not by the image (MEC, Cho & Brand
+    2017). Per-tap GEMMs lose on the 3-channel stem: its 49 with K = 3 took
     60 ms at 320x240, full width, against 7-10 ms for the window rows.
     """
     _check_operands(x, kernel, stride)
@@ -72,12 +94,22 @@ def conv2d_padded(
     if stride == 1:
         out = _conv_taps(x.data, kernel.weights, pads, up)
     else:
-        windows = sliding_window_view(_pad(x.data, pads), (kernel.kh, kernel.kw), axis=(1, 2))
+        (n, _, _, cin), (kh, kw, _, cout) = x.shape, kernel.weights.shape
+        windows = sliding_window_view(_pad(x.data, pads), (kh, kw), axis=(1, 2))
         # (N, Ho, Wo, C, kh, kw) -> (N, Ho, Wo, kh, kw, C), the kernel's (kh, kw, cin) order
         windows = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
-        rows = windows.reshape(-1, kernel.kh * kernel.kw * kernel.cin)
-        out = np.matmul(rows, kernel.weights.reshape(-1, kernel.cout))
-        out = out.reshape(*windows.shape[:3], kernel.cout)
+        _, oh, ow = windows.shape[:3]
+        k = kh * kw * cin
+        weights = kernel.weights.reshape(k, cout)
+        out = np.empty((n, oh, ow, cout), dtype=x.dtype)
+
+        def band(i, lo, hi, rows):
+            rows = rows[: (hi - lo) * ow]
+            rows.reshape(hi - lo, ow, kh, kw, cin)[...] = windows[i, lo:hi]
+            np.matmul(rows, weights, out=out[i, lo:hi].reshape(-1, cout))
+
+        bands = _bands(n, oh, 1, oh * ow * k * cout, oh * ow * k * x.dtype.itemsize)
+        _run_bands(band, bands, (bands[0][2] * ow, k), x.dtype)
     if kernel.bias is not None:
         out += kernel.bias  # out is a fresh contiguous array
     return Tensor4(out)
@@ -91,41 +123,104 @@ def _pad(data: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
     return np.pad(data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
 
 
+def _bands(n: int, oh: int, uh: int, macs: int, scratch_bytes: int) -> list:
+    """The (image, first row, end row) bands of an (n, oh, ...) output.
+
+    Each image's rows split into ``max(2 if macs >= PARALLEL_MACS else 1,
+    ceil(scratch_bytes / BAND_BYTES))`` bands, where `macs` and
+    `scratch_bytes` (the scratch one band would need for the whole image)
+    count one image. All bands are as high as the first, a multiple of
+    `uh`, except that the last may be lower. A band is a run of rows of one
+    image, so its slice of a C-contiguous output is contiguous.
+    """
+    count = max(2 if macs >= PARALLEL_MACS else 1, -(-scratch_bytes // BAND_BYTES))
+    step = uh * -(-oh // (uh * count))
+    return [(i, lo, min(lo + step, oh)) for i in range(n) for lo in range(0, oh, step)]
+
+
+def _run_bands(band, bands: list, scratch_shape: tuple | None, dtype) -> None:
+    """Call ``band(image, lo, hi, scratch)`` for each band, on this thread and the pool's.
+
+    The T = min(THREADS, len(bands)) threads take the bands in order from
+    one shared queue, each into its own scratch (None when
+    `scratch_shape` is), all allocated here: workers allocate nothing, so
+    glibc's per-thread arenas keep none of it. A worker that has not
+    started by the time this thread runs out of bands is cancelled, not
+    waited for (so in a forked child, whose pool has no threads, this
+    thread runs every band). The bands write disjoint output rows, and
+    which thread runs one does not change its bits. `band` calls no public
+    function of the package, whose callers may trace them on one stack.
+    """
+    threads = min(THREADS, len(bands))
+    scratch = [None if scratch_shape is None else np.empty(scratch_shape, dtype)
+               for _ in range(threads)]
+    todo = deque(bands)  # popleft is thread-safe: each band goes to one thread
+
+    def share(own):
+        while True:
+            try:
+                i, lo, hi = todo.popleft()
+            except IndexError:  # no band left
+                return
+            band(i, lo, hi, own)
+
+    jobs = [_POOL.submit(share, own) for own in scratch[1:]]
+    share(scratch[0])
+    for job in jobs:
+        if not job.cancel():
+            job.result()
+
+
 def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple, up: tuple = (1, 1)) -> np.ndarray:
     """Stride-1 cross-correlation of NHWC `x`, nearest-upsampled by `up`, then
     zero-padded by (top, bottom, left, right).
 
-    Neither the upsampled grid nor the padding is built. Tap (a, b) is one
-    GEMM of the flat ``(n * h * w, cin)`` input with the (cin, cout) view
-    ``weights[a, b]``, so no kernel is copied either. The product is added
-    into the output pixels that read it, through the slices that
-    :func:`_tap_spans` gives once per kernel row and once per kernel column.
-    The taps run in row-major order into a fresh output that starts at zero,
-    except that tap (0, 0) writes it directly when it maps the input onto
-    the output one to one, so an unpadded 1x1 conv is a single matmul. Each
-    output pixel reads one input pixel per tap, so it sums the same products
-    in the same order as a conv of the upsampled grid.
+    Neither the upsampled grid nor the padding is built. The output runs in
+    the row bands of :func:`_bands`. For tap row `a`, a band reads one
+    contiguous slab of input rows ``x[i, r0:r1]``, which covers every
+    upsampling phase. Tap (a, b) is one GEMM of the flat slab with the
+    (cin, cout) view ``weights[a, b]`` into the band's scratch, so no kernel
+    is copied either. The product is added into the band's output pixels
+    that read it, through the slices that :func:`_tap_spans` gives once per
+    kernel column and, per band, once per kernel row. Each band runs its
+    taps in row-major order into an output that starts at zero, except that
+    tap (0, 0) writes the band's rows directly when it maps the input onto
+    the output one to one, so an unpadded 1x1 conv is a single matmul per
+    band and needs no scratch. Each output pixel reads one input pixel per
+    tap, so it sums the same products in the same order as a conv of the
+    upsampled grid.
     """
     (n, h, w, cin), (kh, kw, _, cout) = x.shape, weights.shape
-    top, bottom, left, right = pads
-    oh, ow = up[0] * h + top + bottom - kh + 1, up[1] * w + left + right - kw + 1
-    flat = x.reshape(n * h * w, cin)
-    taps = [(a, b) for a in range(kh) for b in range(kw)]
-    if (top, left, oh, ow, up) == (0, 0, h, w, (1, 1)):
-        out = np.matmul(flat, weights[0, 0]).reshape(n, h, w, cout)
-        taps = taps[1:]
-    else:
-        out = np.zeros((n, oh, ow, cout), dtype=x.dtype)
-    if taps:
-        prod = np.empty((n, h, w, cout), dtype=x.dtype)
-        rows = [list(_tap_spans(h, oh, a - top, up[0])) for a in range(kh)]
-        cols = [list(_tap_spans(w, ow, b - left, up[1])) for b in range(kw)]
-    for a, b in taps:
-        if rows[a] and cols[b]:
-            np.matmul(flat, weights[a, b], out=prod.reshape(n * h * w, cout))
-            for out_r, in_r in rows[a]:
-                for out_c, in_c in cols[b]:
-                    out[:, out_r, out_c] += prod[:, in_r, in_c]
+    (top, bottom, left, right), (uh, uw) = pads, up
+    oh, ow = uh * h + top + bottom - kh + 1, uw * w + left + right - kw + 1
+    x = np.ascontiguousarray(x)  # so that each slab is a view
+    direct = (top, left, oh, ow, up) == (0, 0, h, w, (1, 1))
+    out = (np.empty if direct else np.zeros)((n, oh, ow, cout), dtype=x.dtype)
+    cols = [list(_tap_spans(w, ow, b - left, uw)) for b in range(kw)]
+
+    def band(i, lo, hi, prod):
+        dst = out[i, lo:hi]
+        for a in range(kh):
+            r0, r1 = max(0, (lo + a - top) // uh), min(h, (hi - 1 + a - top) // uh + 1)
+            if r0 >= r1:
+                continue
+            slab = x[i, r0:r1].reshape(-1, cin)
+            rows = list(_tap_spans(r1 - r0, hi - lo, lo + a - top - uh * r0, uh))
+            for b in range(kw):
+                if direct and a == b == 0:
+                    np.matmul(slab, weights[0, 0], out=dst.reshape(-1, cout))
+                elif cols[b]:
+                    np.matmul(slab, weights[a, b], out=prod[: len(slab)])
+                    p = prod[: len(slab)].reshape(r1 - r0, w, cout)
+                    for out_r, in_r in rows:
+                        for out_c, in_c in cols[b]:
+                            dst[out_r, out_c] += p[in_r, in_c]
+
+    bands = _bands(n, oh, uh, h * w * kh * kw * cin * cout, h * w * cout * x.dtype.itemsize)
+    # a band no higher than the first reads at most this many input rows per tap row
+    slab_rows = min(h, (bands[0][2] + 2 * uh - 2) // uh)
+    # no scratch when the only tap is (0, 0) writing directly (or there is none)
+    _run_bands(band, bands, (slab_rows * w, cout) if kh * kw > direct else None, x.dtype)
     return out
 
 
@@ -138,7 +233,9 @@ def _tap_spans(size: int, out_size: int, shift: int, up: int):
     read input ``m + d`` with ``d = (p + shift) // up``, so those inside the
     input are ``max(0, -d) <= m < min(ceil((out_size - p) / up), size - d)``.
     Empty phases yield nothing. With ``up = 1`` this is the one window of
-    outputs ``max(0, -shift)`` to ``min(out_size, size - shift)``.
+    outputs ``max(0, -shift)`` to ``min(out_size, size - shift)``. A band
+    of outputs and a slab of input rows are an axis of their own, with
+    `shift` counted from their first rows.
     """
     for p in range(up):
         d = (p + shift) // up

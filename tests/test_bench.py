@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fcnndepth import bench
+from fcnndepth import bench, ops
 
 
 @pytest.mark.parametrize("n, p50_rank, p95_rank", [(10, 5, 10), (11, 6, 11), (20, 10, 19)])
@@ -25,3 +25,10 @@ def test_percentiles_are_nearest_rank(n, p50_rank, p95_rank, monkeypatch):
 def test_unknown_block_names_the_decoder():
     with pytest.raises(ValueError, match="unknown decoder 'nope'"):
         bench.bench_block("nope", 4, 4, 2, 2, iters=10)
+
+
+def test_environment_records_conv_workers(monkeypatch):
+    # timings taken on different thread counts are not comparable
+    assert bench.environment()["conv_workers"] == ops.THREADS
+    monkeypatch.setattr(ops, "THREADS", 7)
+    assert bench.environment()["conv_workers"] == 7

@@ -283,7 +283,7 @@ class TestBenchCommand:
         env = json.loads(capsys.readouterr().out)["env"]
         assert set(env) == {
             "numpy_version", "blas_name", "blas_version", "cpu_count",
-            "openblas_num_threads", "omp_num_threads",
+            "openblas_num_threads", "omp_num_threads", "conv_workers",
         }
         assert env["numpy_version"] == np.__version__
         assert env["cpu_count"] == os.cpu_count()

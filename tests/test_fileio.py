@@ -79,6 +79,14 @@ class TestPpm:
         with pytest.raises(FileFormatError, match="expected uint8 pixels, got float32"):
             write_ppm(tmp_path / "img.ppm", np.zeros((2, 3, 3), dtype=np.float32))
 
+    @pytest.mark.parametrize("h, w", [(0, 5), (4, 0), (0, 0)])
+    def test_write_rejects_empty_image_before_opening(self, tmp_path, h, w):
+        # read_ppm refuses such a file, so write_ppm must not make one
+        path = tmp_path / "img.ppm"
+        with pytest.raises(FileFormatError, match=f"empty image, got {w}x{h} pixels"):
+            write_ppm(path, np.zeros((h, w, 3), dtype=np.uint8))
+        assert not path.exists()
+
     @pytest.mark.parametrize("size", [b"0 5", b"4 0", b"0 0"])
     def test_zero_size_rejected_naming_file(self, tmp_path, size):
         path = tmp_path / "img.ppm"
@@ -120,6 +128,14 @@ class TestDepthRaster:
     def test_write_rejects_non_matrix(self, tmp_path):
         with pytest.raises(FileFormatError, match=r"expected \(h, w\) array, got shape \(2, 3, 1\)"):
             write_depth_raster(tmp_path / "d.dpth", np.ones((2, 3, 1), dtype=np.float32))
+
+    @pytest.mark.parametrize("h, w", [(3, 0), (0, 4), (0, 0)])
+    def test_write_rejects_empty_raster_before_opening(self, tmp_path, h, w):
+        # read_depth_raster refuses such a file, so write_depth_raster must not make one
+        path = tmp_path / "d.dpth"
+        with pytest.raises(FileFormatError, match=f"empty raster, got {w}x{h} values"):
+            write_depth_raster(path, np.zeros((h, w), dtype=np.float32))
+        assert not path.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_read_rejected_with_position(self, tmp_path, bad):

@@ -1,4 +1,7 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -280,6 +283,139 @@ class TestConv2d:
         b = conv_same(x, k)
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(x.data, before)
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the jobs it was given."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.jobs = 0
+
+    def submit(self, *args):
+        self.jobs += 1
+        return super().submit(*args)
+
+
+class TestRowBands:
+    BAND_CASES = dict(
+        n=st.integers(1, 3), h=st.integers(1, 7), w=st.integers(1, 7),
+        cin=st.integers(1, 4), cout=st.integers(1, 3), kh=st.integers(1, 4),
+        kw=st.integers(1, 4), stride=st.integers(1, 3),
+        up=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        pads=st.tuples(*[st.integers(0, 3)] * 4), bias=st.booleans(),
+        dtype=st.sampled_from(DTYPES), bands=st.integers(1, 4), seed=st.integers(0, 2**16),
+    )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(**BAND_CASES)
+    def test_banded_conv_matches_loop_reference(
+        self, n, h, w, cin, cout, kh, kw, stride, up, pads, bias, dtype, bands, seed
+    ):
+        # The constants are set so that each image's rows split into up to
+        # `bands` bands: the band loop must not depend on where they fall.
+        up = up if stride == 1 else (1, 1)
+        pt, pb, pl, pr = pads
+        pads = (pt, pb + max(kh - (up[0] * h + pt + pb), 0),
+                pl, pr + max(kw - (up[1] * w + pl + pr), 0))
+        rng = np.random.default_rng(seed)
+        x = rand_tensor(rng, (n, h, w, cin), dtype)
+        k = rand_kernel(rng, kh, kw, cin, cout, bias=bias, dtype=dtype)
+        oh = (up[0] * h + pads[0] + pads[1] - kh) // stride + 1
+        ow = (up[1] * w + pads[2] + pads[3] - kw) // stride + 1
+        # the scratch one band would need for a whole image, as ops._bands is given it
+        per_row = w * cout if stride == 1 else ow * kh * kw * cin
+        scratch = (h if stride == 1 else oh) * per_row * np.dtype(dtype).itemsize
+        seen, run_bands = [], ops._run_bands
+
+        def spy(band, parts, *rest):
+            seen.append(parts)
+            run_bands(band, parts, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "PARALLEL_MACS", 2**62)
+            mp.setattr(ops, "BAND_BYTES", -(-scratch // bands))
+            mp.setattr(ops, "_run_bands", spy)
+            out = ops.conv2d_padded(x, k, stride, pads, up)
+        ref = conv2d_loop_ref(nearest_up2(x, up), k, stride, pads)
+        assert out.shape == ref.shape and out.dtype == dtype
+        tol = (1e-5 if dtype == np.float32 else 1e-12) * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(out.data - ref)) <= tol
+        # equal bands of each image's rows, `step` high (a multiple of uh), the last lower
+        (parts,) = seen
+        step = parts[0][2]
+        assert parts == [(i, lo, min(lo + step, oh)) for i in range(n) for lo in range(0, oh, step)]
+        assert step % up[0] == 0 or step == oh
+        assert len(parts) <= n * bands
+
+    @pytest.mark.parametrize("oh, uh, macs, scratch, step", [
+        (240, 1, 10**6, 10**6, 240),         # small: one band
+        (240, 1, 2 * 10**6, 10**6, 120),     # PARALLEL_MACS: two bands
+        (240, 1, 10**6, 45 * 10**6, 20),     # the 480x640 stem: 12 bands under 4 MB
+        (241, 2, 10**9, 10**6, 122),         # heights are multiples of uh
+        (3, 2, 10**9, 10**9, 2),             # never below uh rows
+    ])
+    def test_partition_depends_on_shapes_only(self, oh, uh, macs, scratch, step, monkeypatch):
+        monkeypatch.setattr(ops, "PARALLEL_MACS", 2_000_000)
+        monkeypatch.setattr(ops, "BAND_BYTES", 4_000_000)
+        expected = [(i, lo, min(lo + step, oh)) for i in range(2) for lo in range(0, oh, step)]
+        for threads in (1, 2, 64):
+            monkeypatch.setattr(ops, "THREADS", threads)
+            assert ops._bands(2, oh, uh, macs, scratch) == expected
+
+    @pytest.mark.parametrize("conv", ["same3x3", "up21", "stride2", "deconv"])
+    def test_same_bits_on_any_thread_count(self, conv, monkeypatch):
+        # 4 bands per image, on this thread alone, and on it plus one worker
+        rng = np.random.default_rng(31)
+        x = rand_tensor(rng, (2, 17, 13, 6))
+        k = rand_kernel(rng, 5 if conv == "deconv" else 3, 3, 6, 5)
+        run = {
+            "same3x3": lambda: conv_same(x, k),
+            "up21": lambda: ops.conv2d_padded(x, k, 1, (1, 1, 1, 1), (2, 1)),
+            "stride2": lambda: conv_same(x, k, 2),
+            "deconv": lambda: ops.deconv2d(x, k, 2),
+        }[conv]
+        monkeypatch.setattr(ops, "PARALLEL_MACS", 0)
+        monkeypatch.setattr(ops, "BAND_BYTES", 1)
+        outs = []
+        for workers in (0, 1, 2):
+            pool = CountingPool(workers) if workers else None
+            monkeypatch.setattr(ops, "THREADS", workers + 1)
+            monkeypatch.setattr(ops, "_POOL", pool)
+            outs.append(run().data)
+            if pool is not None:
+                pool.shutdown()
+                # each conv call (four phases in a deconv) gives each worker one share
+                assert pool.jobs == workers * (4 if conv == "deconv" else 1)
+        assert all(np.array_equal(outs[0], out) for out in outs[1:])
+
+
+    def test_each_band_runs_once_under_thread_switching(self, monkeypatch):
+        # more threads than cores, switching often: a band run twice would
+        # add its taps twice, and a band never run would stay zero
+        rng = np.random.default_rng(32)
+        x = rand_tensor(rng, (3, 40, 9, 4))
+        k = rand_kernel(rng, 3, 3, 4, 4)
+        monkeypatch.setattr(ops, "PARALLEL_MACS", 0)
+        monkeypatch.setattr(ops, "BAND_BYTES", 1)
+        monkeypatch.setattr(ops, "THREADS", 1)
+        ref = conv_same(x, k).data
+        pool = ThreadPoolExecutor(7)
+        monkeypatch.setattr(ops, "THREADS", 8)
+        monkeypatch.setattr(ops, "_POOL", pool)
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: outs.extend(conv_same(x, k).data
+                                                                 for _ in range(20)))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=False)
+        assert not runner.is_alive() and len(outs) == 20
+        assert all(np.array_equal(ref, out) for out in outs)
 
 
 class TestDeconv2d:
