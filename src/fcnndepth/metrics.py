@@ -56,11 +56,14 @@ def compute_metrics(prediction: Tensor4, truth: Tensor4) -> MetricsReport:
     """
     p, t, _, count = valid_pixels(prediction, truth)
     e = t - p
+    sq = e * e
     # a memoryview feeds fsum Python floats: no numpy scalars, no .tolist() list
-    mse = math.fsum(memoryview(e * e)) / count
-    rel = math.fsum(memoryview(np.abs(e) / t)) / count
+    mse = math.fsum(memoryview(sq)) / count
+    rel = math.fsum(memoryview(np.divide(np.abs(e, out=e), t, out=e))) / count
+    # the ratio map reuses both buffers
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(p > 0, np.maximum(t / p, p / t), np.inf)
+        ratio = np.maximum(np.divide(t, p, out=sq), np.divide(p, t, out=e), out=sq)
+    ratio[~(p > 0)] = np.inf
     deltas = [
         float(np.count_nonzero(ratio < DELTA_BASE**i)) / count for i in (1, 2, 3)
     ]

@@ -1,6 +1,7 @@
-"""Primitive NHWC inference kernels: convolution (nearest upsampling
-included), transposed convolution, activation, normalization, and 2x
-resampling.
+"""Primitive NHWC inference kernels: convolution, activation,
+normalization, and 2x resampling. A stride-1 convolution may read its input
+nearest-upsampled or zero-inserted without building either grid; a
+transposed convolution is the zero-inserted case.
 
 All operations are pure functions: they never modify their inputs and the
 same inputs always produce bit-identical outputs. The exception is the
@@ -171,24 +172,28 @@ def _run_bands(band, bands: list, scratch_shape: tuple | None, dtype) -> None:
             job.result()
 
 
-def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple, up: tuple = (1, 1)) -> np.ndarray:
-    """Stride-1 cross-correlation of NHWC `x`, nearest-upsampled by `up`, then
+def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple, up=(1, 1), zeros=False):
+    """Stride-1 cross-correlation of NHWC `x`, upsampled by `up`, then
     zero-padded by (top, bottom, left, right).
 
-    Neither the upsampled grid nor the padding is built. The output runs in
-    the row bands of :func:`_bands`. For tap row `a`, a band reads one
-    contiguous slab of input rows ``x[i, r0:r1]``, which covers every
-    upsampling phase. Tap (a, b) is one GEMM of the flat slab with the
-    (cin, cout) view ``weights[a, b]`` into the band's scratch, so no kernel
-    is copied either. The product is added into the band's output pixels
-    that read it, through the slices that :func:`_tap_spans` gives once per
-    kernel column and, per band, once per kernel row. Each band runs its
-    taps in row-major order into an output that starts at zero, except that
-    tap (0, 0) writes the band's rows directly when it maps the input onto
-    the output one to one, so an unpadded 1x1 conv is a single matmul per
-    band and needs no scratch. Each output pixel reads one input pixel per
-    tap, so it sums the same products in the same order as a conv of the
-    upsampled grid.
+    The upsampling is nearest (each input pixel stands for a uh x uw block)
+    or, with `zeros`, a zero insertion (each input pixel is the first of its
+    block, the rest are 0). Neither the upsampled grid nor the padding is
+    built. The output runs in the row bands of :func:`_bands`. For tap row
+    `a`, a band reads one contiguous slab of input rows ``x[i, r0:r1]``,
+    those its outputs read through that row in every upsampling phase; a tap
+    row that reaches no output row of the band (or, with `zeros`, reads only
+    inserted zeros there) runs no GEMM. Tap (a, b) is one GEMM of the flat
+    slab with the (cin, cout) view ``weights[a, b]`` into the band's
+    scratch, so no kernel is copied either. The product is added into the
+    band's output pixels that read it, through the slices that
+    :func:`_tap_spans` gives once per kernel column and, per band, once per
+    kernel row. Each band runs its taps in row-major order into an output
+    that starts at zero, except that tap (0, 0) writes the band's rows
+    directly when it maps the input onto the output one to one, so an
+    unpadded 1x1 conv is a single matmul per band and needs no scratch. Each
+    output pixel reads at most one input pixel per tap, so it sums the same
+    nonzero products in the same order as a conv of the upsampled grid.
     """
     (n, h, w, cin), (kh, kw, _, cout) = x.shape, weights.shape
     (top, bottom, left, right), (uh, uw) = pads, up
@@ -196,16 +201,17 @@ def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple, up: tuple = (1, 
     x = np.ascontiguousarray(x)  # so that each slab is a view
     direct = (top, left, oh, ow, up) == (0, 0, h, w, (1, 1))
     out = (np.empty if direct else np.zeros)((n, oh, ow, cout), dtype=x.dtype)
-    cols = [list(_tap_spans(w, ow, b - left, uw)) for b in range(kw)]
+    cols = [list(_tap_spans(w, ow, b - left, uw, zeros)) for b in range(kw)]
+    skip = uh - 1 if zeros else 0  # a zero-inserted slab skips a block begun before the band
 
     def band(i, lo, hi, prod):
         dst = out[i, lo:hi]
         for a in range(kh):
-            r0, r1 = max(0, (lo + a - top) // uh), min(h, (hi - 1 + a - top) // uh + 1)
-            if r0 >= r1:
+            r0, r1 = max(0, (lo + a - top + skip) // uh), min(h, (hi - 1 + a - top) // uh + 1)
+            rows = list(_tap_spans(r1 - r0, hi - lo, lo + a - top - uh * r0, uh, zeros))
+            if not rows:
                 continue
             slab = x[i, r0:r1].reshape(-1, cin)
-            rows = list(_tap_spans(r1 - r0, hi - lo, lo + a - top - uh * r0, uh))
             for b in range(kw):
                 if direct and a == b == 0:
                     np.matmul(slab, weights[0, 0], out=dst.reshape(-1, cout))
@@ -224,7 +230,7 @@ def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple, up: tuple = (1, 
     return out
 
 
-def _tap_spans(size: int, out_size: int, shift: int, up: int):
+def _tap_spans(size: int, out_size: int, shift: int, up: int, zeros: bool = False):
     """One axis of one tap: yields the (output, input) slices its product is added through.
 
     Output sample ``o`` reads sample ``o + shift`` of the input upsampled by
@@ -232,61 +238,38 @@ def _tap_spans(size: int, out_size: int, shift: int, up: int):
     outputs ``o = p + up * m``, ``ceil((out_size - p) / up)`` of them; they
     read input ``m + d`` with ``d = (p + shift) // up``, so those inside the
     input are ``max(0, -d) <= m < min(ceil((out_size - p) / up), size - d)``.
-    Empty phases yield nothing. With ``up = 1`` this is the one window of
-    outputs ``max(0, -shift)`` to ``min(out_size, size - shift)``. A band
-    of outputs and a slab of input rows are an axis of their own, with
-    `shift` counted from their first rows.
+    With `zeros` the input is zero-inserted instead: upsampled sample ``j``
+    is input ``j / up`` when `up` divides ``j`` and 0 otherwise, so only the
+    phase with ``(p + shift) % up == 0`` reads input. Empty phases yield
+    nothing. With ``up = 1`` this is the one window of outputs
+    ``max(0, -shift)`` to ``min(out_size, size - shift)``. A band of
+    outputs and a slab of input rows are an axis of their own, with `shift`
+    counted from their first rows.
     """
     for p in range(up):
+        if zeros and (p + shift) % up:
+            continue
         d = (p + shift) // up
         m0, m1 = max(0, -d), min((out_size - p + up - 1) // up, size - d)
         if m0 < m1:
             yield slice(p + up * m0, p + up * m1, up), slice(m0 + d, m1 + d)
 
 
-def phase_split(k: int, stride: int, lead: int, phase: int) -> tuple[int, int, tuple[int, int]]:
-    """One axis of a zero-inserted correlation, split by output phase.
-
-    Insert ``stride - 1`` zeros after every input sample, pad ``lead`` zeros
-    in front and correlate with the ``k`` taps ``K[0], ..., K[k - 1]``.
-    Output sample ``o = stride * m + phase`` reads the inserted grid at
-    ``o + a - lead``, which holds data only for taps ``a = a0 + stride * t``
-    with ``a0 = (lead - phase) mod stride``; it is then input sample
-    ``m + t - pad`` with ``pad = (lead - phase - a0) / stride``. So phase
-    ``phase`` (samples ``phase::stride``) is a stride-1 correlation of the
-    input without inserted zeros, with taps ``K[a0::stride]`` and padding
-    ``(pad, taps - 1 - pad)``, which keeps the input's length.
-
-    Returns ``(a0, taps, (leading pad, trailing pad))``. With
-    ``phase <= lead < k`` both pads are nonnegative; a phase past ``lead``
-    would need a negative leading pad (a crop), and neither
-    :func:`deconv2d` nor the up-conv split has one that reads a tap.
-    ``taps`` is 0 only when ``k < stride``: such a phase reads no input.
-    """
-    a0 = (lead - phase) % stride
-    taps = len(range(a0, k, stride))
-    pad = (lead - phase - a0) // stride
-    return a0, taps, (pad, taps - 1 - pad)
-
-
-def _branch(r: int, c: int) -> tuple[str, tuple]:
-    # with lead 2 and stride 2 the first tap a0 of phase r is r itself
-    (_, th, rows), (_, tw, cols) = (phase_split(5, 2, 2, p) for p in (r, c))
-    return f"k{th}{tw}", (r, c, (th, tw), rows + cols)
-
-
 # The up-convolution parity split. The naive block is a 5x5 "same"
-# correlation (leading pad 2) of the input zero-inserted by 2, so
-# phase_split with lead 2 splits it per axis. The branch for output parity
-# (r, c) convolves the un-upsampled input with K[r::2, c::2], a
-# (3 - r) x (3 - c) sub-kernel, padded by (top, bottom, left, right) =
-# (1 - r, 1, 1 - c, 1) so that it keeps the input size, and writes output
-# pixels [r::2, c::2], interleave4's argument order. The branches k33, k32,
-# k23 and k22 hold 9 + 6 + 6 + 4 = 25 taps; the names are also the FCNW
-# entry suffixes of the fast presets. The weight split and the builder's
-# fast block both read this table.
+# correlation (leading pad 2) of the input zero-inserted by 2. Output
+# sample o = 2m + r reads the inserted grid at o + a - 2, which holds input
+# data only for taps a = r + 2t, t < 3 - r; it is then input sample
+# m + t - (1 - r). So the branch for output parity (r, c) convolves the
+# un-upsampled input with K[r::2, c::2], a (3 - r) x (3 - c) sub-kernel,
+# padded by (top, bottom, left, right) = (1 - r, 1, 1 - c, 1) so that it
+# keeps the input size, and writes output pixels [r::2, c::2],
+# interleave4's argument order. The branches k33, k32, k23 and k22 hold
+# 9 + 6 + 6 + 4 = 25 taps; the names are also the FCNW entry suffixes of
+# the fast presets. The weight split and the builder's fast block both read
+# this table.
 # name -> (row parity r, column parity c, sub-kernel (kh, kw), pads)
-BRANCHES = dict(_branch(r, c) for r in (0, 1) for c in (0, 1))
+BRANCHES = {f"k{3 - r}{3 - c}": (r, c, (3 - r, 3 - c), (1 - r, 1, 1 - c, 1))
+            for r in (0, 1) for c in (0, 1)}
 
 
 def same_pads(size: int, k: int, stride: int) -> tuple[int, int]:
@@ -306,29 +289,20 @@ def deconv2d(x: Tensor4, kernel: ConvKernel, stride: int = 2) -> Tensor4:
     the remainder from the trailing edge so the size contract holds for any
     kernel size.
 
-    That is a correlation of the input, zero-inserted by `stride`, with the
-    flipped kernel ``Kf = K[::-1, ::-1]`` and leading pad ``k - 1 - crop``.
-    :func:`phase_split` splits it per axis: output phase (r, c), the pixels
-    ``[r::stride, c::stride]``, is a stride-1 correlation of `x` itself with
-    the view ``Kf[a0::stride, b0::stride]``, written into one preallocated
-    output; for a 5x5 kernel and stride 2 that is ``Kf[1 - r::2, 1 - c::2]``
-    with pads (1, r, 1, c). It runs k * k * cin * cout MACs per input pixel,
-    stride ** 2 fewer than a convolution of the zero-inserted grid, and
-    copies neither the kernel nor a padded input. A phase with no taps (only
-    when k < stride) gets zeros from :func:`_conv_taps`, then the bias.
+    That is a stride-1 correlation of the input zero-inserted by `stride`
+    with the flipped kernel ``K[::-1, ::-1]``, padded by ``k - 1 - crop``
+    before and ``crop`` after: one :func:`_conv_taps` call with `zeros`, into
+    one output, with no built grid, no kernel copy and no phase outputs.
+    Each output pixel sums only the taps that read input pixels: k * k *
+    cin * cout MACs per input pixel, stride ** 2 fewer than a conv of the
+    built grid. A pixel that reads no tap (only when k < stride) holds the
+    bias alone.
     """
     _check_operands(x, kernel, stride)
-    n, h, w, _ = x.shape
     kh, kw = kernel.kh, kernel.kw
-    rows = [phase_split(kh, stride, kh - 1 - max(kh - stride, 0) // 2, r) for r in range(stride)]
-    cols = [phase_split(kw, stride, kw - 1 - max(kw - stride, 0) // 2, c) for c in range(stride)]
-    flipped = kernel.weights[::-1, ::-1]
-    out = np.empty((n, h * stride, w * stride, kernel.cout), dtype=x.dtype)
-    for r, (a0, _, pads_r) in enumerate(rows):
-        for c, (b0, _, pads_c) in enumerate(cols):
-            out[:, r::stride, c::stride] = _conv_taps(
-                x.data, flipped[a0::stride, b0::stride], pads_r + pads_c
-            )
+    ct, cl = max(kh - stride, 0) // 2, max(kw - stride, 0) // 2
+    out = _conv_taps(x.data, kernel.weights[::-1, ::-1], (kh - 1 - ct, ct, kw - 1 - cl, cl),
+                     (stride, stride), zeros=True)
     if kernel.bias is not None:
         out += kernel.bias
     return Tensor4(out)

@@ -5,11 +5,12 @@ compensated sums), sharing no code path with the vectorized kernels under
 test. There are two exceptions. `deconv2d_stuffed_ref`, the zero-stuffed
 form of ``ops.deconv2d``, runs through ``ops.conv2d_padded`` (itself
 checked against `conv2d_loop_ref`), so its float32 GEMMs round like the
-phase split's and the two can be compared bit for bit. `infer_ref` runs
-each layer's own kernel from the ``OPS`` table, so it checks only what
+zero-inserted read's and the two can be compared bit for bit. `infer_ref`
+runs each layer's own kernel from the ``OPS`` table, so it checks only what
 ``models.infer`` adds: the wiring and the buffers it writes in place.
-`mutations` generates the damaged files that the file-format tests feed to
-their readers.
+`phase_taps` reads ``ops._tap_spans`` back as a table, for the tests that
+pin the taps each output phase reads. `mutations` generates the damaged
+files that the file-format tests feed to their readers.
 """
 from __future__ import annotations
 
@@ -121,6 +122,22 @@ def deconv2d_stuffed_ref(x: Tensor4, kernel: ConvKernel, stride: int) -> Tensor4
         stride=1,
         pads=(kh - 1 - ct, ct + stride - 1, kw - 1 - cl, cl + stride - 1),
     )
+
+
+def phase_taps(k: int, up: int, lead: int) -> dict[int, list[tuple[int, int]]]:
+    """The taps of one axis of a zero-inserted correlation, by output phase.
+
+    The axis is 8 input samples, enough for every tap of a k <= 8 kernel to
+    reach some output, zero-inserted by `up` and padded by `lead` in front,
+    then correlated with `k` taps. Phase ``p`` maps to its ``(tap, offset)``
+    pairs in tap order, as ``ops._tap_spans`` yields them: output
+    ``up * m + p`` reads input ``m + offset`` through that tap.
+    """
+    taps = {p: [] for p in range(up)}
+    for a in range(k):
+        for out, inp in ops._tap_spans(8, up * 8, a - lead, up, zeros=True):
+            taps[out.start % up].append((a, inp.start - out.start // up))
+    return taps
 
 
 def infer_ref(graph, weights, image: Tensor4) -> Tensor4:

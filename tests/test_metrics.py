@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,17 @@ class TestComputeMetrics:
     def test_report_keys_in_field_order(self):
         report = compute_metrics(*as_pair([1.0, 2.0], [1.0, 3.0]))
         assert list(report.as_dict()) == ["mse", "rel", "delta1", "delta2", "delta3"]
+
+    def test_memory_stays_near_input_size(self):
+        # the float64 temporaries share two buffers; with a fresh one for
+        # e * e, abs(e) / t and the ratio map the peak was 6.3x the inputs
+        rng = np.random.default_rng(12)
+        pred, truth = random_depth_pair(rng, shape=(1, 240, 320, 1), invalid_frac=0.1)
+        pred, truth = Tensor4(pred.astype(np.float32)), Tensor4(truth.astype(np.float32))
+        tracemalloc.start()
+        try:
+            compute_metrics(pred, truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * (pred.data.nbytes + truth.data.nbytes)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from fcnndepth import ops
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
 from helpers import (
-    conv2d_loop_ref, deconv2d_scatter_ref, deconv2d_stuffed_ref, nearest_up2, same_pads_ref,
+    conv2d_loop_ref, deconv2d_scatter_ref, deconv2d_stuffed_ref, nearest_up2, phase_taps,
+    same_pads_ref,
 )
 
 
@@ -348,6 +349,44 @@ class TestRowBands:
         assert step % up[0] == 0 or step == oh
         assert len(parts) <= n * bands
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(1, 3), h=st.integers(1, 7), w=st.integers(1, 7),
+        cin=st.integers(1, 4), cout=st.integers(1, 3), kh=st.integers(1, 6),
+        kw=st.integers(1, 6), stride=st.integers(1, 3), bias=st.booleans(),
+        dtype=st.sampled_from(DTYPES), bands=st.integers(1, 4), seed=st.integers(0, 2**16),
+    )
+    def test_banded_deconv_matches_scatter_reference(
+        self, n, h, w, cin, cout, kh, kw, stride, bias, dtype, bands, seed
+    ):
+        # as above, for the zero-inserted read of a transposed conv, whose
+        # bands are as high as a multiple of the stride
+        rng = np.random.default_rng(seed)
+        x = rand_tensor(rng, (n, h, w, cin), dtype)
+        k = rand_kernel(rng, kh, kw, cin, cout, bias=bias, dtype=dtype)
+        scratch = h * w * cout * np.dtype(dtype).itemsize
+        seen, run_bands = [], ops._run_bands
+
+        def spy(band, parts, *rest):
+            seen.append(parts)
+            run_bands(band, parts, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "PARALLEL_MACS", 2**62)
+            mp.setattr(ops, "BAND_BYTES", -(-scratch // bands))
+            mp.setattr(ops, "_run_bands", spy)
+            out = ops.deconv2d(x, k, stride)
+        ref = deconv2d_scatter_ref(x, k, stride)
+        assert out.shape == ref.shape == (n, h * stride, w * stride, cout)
+        assert out.dtype == dtype
+        tol = (1e-5 if dtype == np.float32 else 1e-12) * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(out.data - ref)) <= tol
+        (parts,) = seen
+        step, oh = parts[0][2], h * stride
+        assert parts == [(i, lo, min(lo + step, oh)) for i in range(n) for lo in range(0, oh, step)]
+        assert step % stride == 0
+        assert len(parts) <= n * bands
+
     @pytest.mark.parametrize("oh, uh, macs, scratch, step", [
         (240, 1, 10**6, 10**6, 240),         # small: one band
         (240, 1, 2 * 10**6, 10**6, 120),     # PARALLEL_MACS: two bands
@@ -385,8 +424,8 @@ class TestRowBands:
             outs.append(run().data)
             if pool is not None:
                 pool.shutdown()
-                # each conv call (four phases in a deconv) gives each worker one share
-                assert pool.jobs == workers * (4 if conv == "deconv" else 1)
+                # each conv call, a deconv too, gives each worker one share
+                assert pool.jobs == workers
         assert all(np.array_equal(outs[0], out) for out in outs[1:])
 
 
@@ -469,7 +508,7 @@ class TestDeconv2d:
         kh=st.integers(1, 6), kw=st.integers(1, 6), stride=st.integers(1, 3),
         bias=st.booleans(), seed=st.integers(0, 2**16),
     )
-    def test_phase_split_matches_scatter_float64(
+    def test_matches_scatter_reference_float64(
         self, n, h, w, cin, cout, kh, kw, stride, bias, seed
     ):
         # covers 1-pixel and odd inputs and k < stride, where some output
@@ -489,7 +528,8 @@ class TestDeconv2d:
     ])
     def test_matches_zero_stuffed_form_on_decoder_shapes(self, shape, cout):
         # the five deconv layers of basic-deconv at 240x320, width /8: the
-        # phase split sums the same nonzero products in the same tap order
+        # zero-inserted read sums the same nonzero products in the same tap
+        # order
         rng = np.random.default_rng(17)
         x = rand_tensor(rng, shape)
         k = rand_kernel(rng, 5, 5, shape[3], cout)
@@ -502,8 +542,9 @@ class TestDeconv2d:
 
     @pytest.mark.parametrize("shape, cout", [((1, 60, 80, 32), 16), ((1, 30, 40, 256), 128)])
     def test_memory_stays_near_output_size(self, shape, cout):
-        # no zero-stuffed grid and no kernel copy: the zero-stuffed form
-        # peaked at 6.2x and 7.7x the output's bytes on these shapes
+        # no zero-stuffed grid, no kernel copy and no per-phase outputs: the
+        # zero-stuffed form peaked at 6.2x and 7.7x the output's bytes on
+        # these shapes, and four phase outputs copied into one at 1.5x
         rng = np.random.default_rng(18)
         x = rand_tensor(rng, shape)
         k = rand_kernel(rng, 5, 5, shape[3], cout)
@@ -513,50 +554,54 @@ class TestDeconv2d:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * out.data.nbytes
+        assert peak <= 2 * out.data.nbytes
 
 
 class TestPhaseSplit:
+    """The zero-inserted read of ops._tap_spans, split by output phase."""
+
     @pytest.mark.parametrize("k", range(1, 8))
     @pytest.mark.parametrize("stride", range(1, 5))
     def test_phases_partition_the_taps(self, k, stride):
+        # with deconv2d's leading pad, phase p reads the taps Kf[a0::stride],
+        # a0 = (lead - p) % stride, at consecutive input offsets: a stride-1
+        # correlation of the input with nonnegative pads that keeps its length
         lead = k - 1 - max(k - stride, 0) // 2
-        used = []
-        for phase in range(stride):
-            a0, taps, (pad, trail) = ops.phase_split(k, stride, lead, phase)
-            used += range(a0, k, stride)
-            assert taps == len(range(a0, k, stride))
-            if taps:
-                assert pad >= 0 and trail >= 0 and pad + trail == taps - 1
-        assert sorted(used) == list(range(k))
+        taps = phase_taps(k, stride, lead)
+        for phase, found in taps.items():
+            assert [a for a, _ in found] == list(range((lead - phase) % stride, k, stride))
+            if found:
+                offsets = [d for _, d in found]
+                assert offsets == list(range(offsets[0], offsets[0] + len(found)))
+                assert offsets[0] <= 0 <= offsets[-1]
+        assert sorted(a for found in taps.values() for a, _ in found) == list(range(k))
 
     def test_deconv_5x5_stride2_phases(self):
         # Kf[1 - r::2] with pads (1, r)
-        assert [ops.phase_split(5, 2, 3, r) for r in (0, 1)] == [(1, 2, (1, 0)), (0, 3, (1, 1))]
+        assert phase_taps(5, 2, 3) == {0: [(1, -1), (3, 0)], 1: [(0, -1), (2, 0), (4, 1)]}
 
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("stride", range(1, 4))
     def test_matches_zero_inserted_correlation(self, k, stride):
-        # one axis, one-hot taps: phase `phase` of the correlation of the
-        # zero-inserted signal equals the split's correlation of the signal
+        # one axis at a time, one-hot taps: the zero-inserted read equals
+        # the correlation of the built zero-inserted signal, for every lead
         x = np.random.default_rng(19).standard_normal(7)
+        up = np.zeros(len(x) * stride)
+        up[::stride] = x
         for lead in range(k):
+            grid = np.concatenate([np.zeros(lead), up, np.zeros(k)])
             for tap in range(k):
                 kern = np.zeros(k)
                 kern[tap] = 1.0
-                up = np.zeros(len(x) * stride)
-                up[::stride] = x
-                grid = np.concatenate([np.zeros(lead), up, np.zeros(k)])
                 full = np.array([grid[o:o + k] @ kern for o in range(len(up))])
-                for phase in range(stride):
-                    a0, taps, (pad, trail) = ops.phase_split(k, stride, lead, phase)
-                    if phase > lead:
-                        continue  # a crop, not a pad; see phase_split
-                    assert pad >= 0 and trail >= 0
-                    sub = kern[a0::stride]
-                    src = np.concatenate([np.zeros(pad), x, np.zeros(trail)])
-                    got = np.array([src[m:m + taps] @ sub for m in range(len(x))])
-                    assert np.array_equal(got, full[phase::stride]), (lead, tap, phase)
+                # down the rows, then along the columns
+                for xshape, kshape, pads, up_hw in [
+                    ((1, -1, 1, 1), (k, 1, 1, 1), (lead, k - 1 - lead, 0, 0), (stride, 1)),
+                    ((1, 1, -1, 1), (1, k, 1, 1), (0, 0, lead, k - 1 - lead), (1, stride)),
+                ]:
+                    got = ops._conv_taps(x.reshape(xshape), kern.reshape(kshape), pads, up_hw,
+                                         zeros=True)
+                    assert np.array_equal(got.ravel(), full), (lead, tap, pads)
 
 
 class TestRelu:

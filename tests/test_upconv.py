@@ -18,6 +18,7 @@ from fcnndepth.upconv import (
     verify_equivalence,
 )
 from fcnndepth.weights_io import WeightContainer, WeightFormatError
+from helpers import phase_taps
 
 
 def identity_bn(c, dtype=np.float32):
@@ -84,8 +85,8 @@ class TestSplitWeights:
             split_weights_5x5(weights)
 
     def test_table_derived_from_phase_rule_is_the_literal_table(self):
-        # the table as written out before it was derived from ops.phase_split
-        # (the names are also the FCNW entry suffixes of the fast presets)
+        # the table as written out (the names are also the FCNW entry
+        # suffixes of the fast presets)
         assert BRANCHES == {
             "k33": (0, 0, (3, 3), (1, 1, 1, 1)),
             "k32": (0, 1, (3, 2), (1, 1, 0, 1)),
@@ -93,9 +94,15 @@ class TestSplitWeights:
             "k22": (1, 1, (2, 2), (0, 1, 0, 1)),
         }
         assert list(BRANCHES) == ["k33", "k32", "k23", "k22"]
-        for r, c, _, _ in BRANCHES.values():
-            assert ops.phase_split(5, 2, 2, r)[0] == r  # first tap: K[r::2]
-            assert ops.phase_split(5, 2, 2, c)[0] == c
+        # and as the zero-inserted read gives it at lead 2: phase r reads
+        # K[r::2] at input offsets from -(leading pad) to the trailing pad
+        taps = phase_taps(5, 2, 2)
+        for r, c, size, pads in BRANCHES.values():
+            rows, cols = taps[r], taps[c]
+            assert [a for a, _ in rows] == list(range(r, 5, 2))
+            assert [b for b, _ in cols] == list(range(c, 5, 2))
+            assert size == (len(rows), len(cols))
+            assert pads == (-rows[0][1], rows[-1][1], -cols[0][1], cols[-1][1])
 
     def test_table_reproduces_one_hot_slices(self):
         # for every one-hot 5x5 kernel, branch (r, c) alone (its slice of the
