@@ -1,8 +1,9 @@
 """Evaluation metrics for predicted depth maps.
 
 Pixels with nonpositive ground truth are excluded everywhere. Scalar sums
-use exact compensated summation (math.fsum), so results do not depend on
-accumulation order and match a per-pixel reference bit for bit.
+are exact: each is bit-equal to math.fsum of its terms, by error-free
+extraction (see `_exact_sum`), so results do not depend on accumulation
+order and match a per-pixel reference bit for bit.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import numpy as np
 from .tensor import Tensor4
 
 DELTA_BASE = 1.25
+# values per extraction chunk: one 64 KB scratch that stays in cache
+SUM_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,38 @@ def valid_pixels(prediction: Tensor4, truth: Tensor4):
     return p, t, mask, count
 
 
+def _exact_sum(buf: np.ndarray) -> float:
+    """``math.fsum(buf)`` bit for bit, overwriting the 1-D float64 array `buf`.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation", SIAM J. Sci. Comput. 31(1), 2008), one chunk of `r` at a
+    time. With ``2**e > max|r|`` and ``m = (len(r) + 2).bit_length()``,
+    ``sigma = 2**(m + e)`` splits each value exactly into
+    ``q = (r + sigma) - sigma``, a multiple of ``2**(m + e - 53)``, and the
+    residual ``r - q``. Every partial sum of the chunk's ``q`` is such a
+    multiple below ``sigma`` in magnitude, so ``q.sum()`` is exact in any
+    order. Passes repeat on the residual until it is all zero; fsum of the
+    exact pass totals is then the correctly rounded sum of `buf`. An empty,
+    all-zero, non-finite or huge (``>= 2**960``) input goes to fsum itself,
+    keeping its signed zeros, its nan and inf results and its exceptions.
+    """
+    big = max(float(buf.max()), -float(buf.min())) if buf.size else 0.0
+    if not 0.0 < big < 2.0**960:
+        return math.fsum(memoryview(buf))
+    scratch = np.empty(min(buf.size, SUM_CHUNK))
+    totals = []
+    for start in range(0, buf.size, SUM_CHUNK):
+        r = buf[start:start + SUM_CHUNK]
+        q = scratch[:r.size]
+        m = (r.size + 2).bit_length()
+        while big := float(np.abs(r, out=q).max()):
+            sigma = math.ldexp(1.0, m + math.frexp(big)[1])
+            np.subtract(np.add(r, sigma, out=q), sigma, out=q)
+            totals.append(float(q.sum()))
+            r -= q
+    return math.fsum(totals)
+
+
 def compute_metrics(prediction: Tensor4, truth: Tensor4) -> MetricsReport:
     """Evaluate a prediction against ground truth over the valid pixels.
 
@@ -57,10 +92,9 @@ def compute_metrics(prediction: Tensor4, truth: Tensor4) -> MetricsReport:
     p, t, _, count = valid_pixels(prediction, truth)
     e = t - p
     sq = e * e
-    # a memoryview feeds fsum Python floats: no numpy scalars, no .tolist() list
-    mse = math.fsum(memoryview(sq)) / count
-    rel = math.fsum(memoryview(np.divide(np.abs(e, out=e), t, out=e))) / count
-    # the ratio map reuses both buffers
+    # each sum consumes its buffer, which the ratio map overwrites next
+    mse = _exact_sum(sq) / count
+    rel = _exact_sum(np.divide(np.abs(e, out=e), t, out=e)) / count
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.maximum(np.divide(t, p, out=sq), np.divide(p, t, out=e), out=sq)
     ratio[~(p > 0)] = np.inf

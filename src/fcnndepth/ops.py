@@ -314,16 +314,23 @@ def relu(x: Tensor4, out: np.ndarray | None = None) -> Tensor4:
 
 
 def batchnorm_infer(x: Tensor4, params: BatchNormParams, out: np.ndarray | None = None) -> Tensor4:
-    """Per-channel normalization with frozen statistics, written into `out` when given."""
+    """Per-channel normalization with frozen statistics, written into `out` when given.
+
+    Two passes over `x`: ``y = x * scale + shift``, with ``scale = gamma /
+    sqrt(variance + eps)`` and ``shift = beta - mean * scale`` per channel
+    (the affine form of Jacob et al. 2018, arXiv 1712.05877). Each output is
+    within ``7 * u * (|x * scale| + |mean * scale| + |beta|)`` of the exact
+    value, u the dtype's unit roundoff (2**-24 in float32): where x is close
+    to `mean`, that is many ulps of y.
+    """
     if params.channels != x.c:
         raise ValueError(
             f"batchnorm has {params.channels} channels but input has {x.c}"
         )
     _check_dtype(x, params.mean)
     scale = params.gamma / np.sqrt(params.variance + params.eps)
-    y = np.subtract(x.data, params.mean, out=out)
-    y *= scale
-    y += params.beta
+    y = np.multiply(x.data, scale, out=out)
+    y += params.beta - params.mean * scale
     return Tensor4(y)
 
 

@@ -60,10 +60,6 @@ class Tensor4:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    @classmethod
-    def zeros(cls, n: int, h: int, w: int, c: int, dtype=np.float32) -> "Tensor4":
-        return cls(np.zeros((n, h, w, c), dtype=dtype))
-
     def astype(self, dtype) -> "Tensor4":
         return Tensor4(self.data.astype(dtype))
 

@@ -10,7 +10,8 @@ runs each layer's own kernel from the ``OPS`` table, so it checks only what
 ``models.infer`` adds: the wiring and the buffers it writes in place.
 `phase_taps` reads ``ops._tap_spans`` back as a table, for the tests that
 pin the taps each output phase reads. `mutations` generates the damaged
-files that the file-format tests feed to their readers.
+files that the file-format tests feed to their readers, and `zeros` the
+all-zero tensors of the error-path tests.
 """
 from __future__ import annotations
 
@@ -193,6 +194,11 @@ def central_difference_grad(loss_fn, pred: np.ndarray, step: float = 1e-3) -> np
         down = loss_fn(bumped.reshape(base.shape))
         flat[idx] = (up - down) / (2 * step)
     return grad
+
+
+def zeros(n: int, h: int, w: int, c: int, dtype=np.float32) -> Tensor4:
+    """An all-zero tensor of the given shape."""
+    return Tensor4(np.zeros((n, h, w, c), dtype=dtype))
 
 
 def random_depth_pair(rng: np.random.Generator, shape=(1, 3, 4, 1), invalid_frac=0.0):

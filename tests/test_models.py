@@ -30,7 +30,7 @@ from fcnndepth.models import (
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
 from fcnndepth.upconv import fast_block_macs, naive_block_macs
 from fcnndepth.weights_io import WeightContainer, split_container
-from helpers import infer_ref, nearest_up2
+from helpers import infer_ref, nearest_up2, zeros
 
 
 def rand_image(h, w, seed=0, n=1):
@@ -190,7 +190,7 @@ class TestInfer:
         graph = LayerGraph((1, 3, 3, 1), (pool,), output="pool", bottleneck="image")
         message = "layer 'pool': maxpool2 requires even spatial dims, got 3x3"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            infer(graph, WeightContainer({}), Tensor4.zeros(1, 3, 3, 1))
+            infer(graph, WeightContainer({}), zeros(1, 3, 3, 1))
 
     @pytest.mark.parametrize("victim,donor", [
         ("dec.b2.up5x5", "dec.b2.bn"),
@@ -399,7 +399,7 @@ class TestBlockGraph:
         graph = block_graph("upconv_fast", 4, 5, 3, 2)
         weights = random_weights(graph, seed=0)
         with pytest.raises(ValueError, match=re.escape("does not match expected (N, 4, 5, 3)")):
-            infer(graph, weights, Tensor4.zeros(1, 4, 5, 2))
+            infer(graph, weights, zeros(1, 4, 5, 2))
 
 
 class TestBuilder:

@@ -12,7 +12,7 @@ from fcnndepth import ops
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
 from helpers import (
     conv2d_loop_ref, deconv2d_scatter_ref, deconv2d_stuffed_ref, nearest_up2, phase_taps,
-    same_pads_ref,
+    same_pads_ref, zeros,
 )
 
 
@@ -665,6 +665,32 @@ class TestBatchNorm:
             # 1e-6 relative: the kernel runs in float32
             assert abs(out.data[idx] - expect) <= 1e-6 * max(1.0, abs(expect))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_forward_error_bound_under_cancellation(self, dtype, seed):
+        # channel means up to 100x the spread of x, so x * scale and
+        # mean * scale nearly cancel: the bound is in their size, not |y|'s
+        rng = np.random.default_rng(seed + 70)
+        c = 16
+        spread = rng.uniform(0.01, 3.0, c)
+        mean = (rng.uniform(-100, 100, c) * spread).astype(dtype)
+        x = Tensor4((mean + spread * rng.standard_normal((2, 5, 4, c))).astype(dtype))
+        p = BatchNormParams(
+            mean,
+            (spread**2 * rng.uniform(0.5, 2.0, c)).astype(dtype),
+            rng.uniform(-2.0, 2.0, c).astype(dtype),
+            (rng.standard_normal(c) * 0.1).astype(dtype),
+            eps=1e-5,
+        )
+        out = ops.batchnorm_infer(x, p).data.astype(np.float64)
+        x64, mean64, beta64 = (a.astype(np.float64) for a in (x.data, p.mean, p.beta))
+        scale = p.gamma.astype(np.float64) / np.sqrt(p.variance.astype(np.float64) + p.eps)
+        # x - mean first: the float64 reference does not cancel where the kernel does
+        expect = (x64 - mean64) * scale + beta64
+        u = np.finfo(dtype).eps / 2
+        bound = 7 * u * (np.abs(x64 * scale) + np.abs(mean64 * scale) + np.abs(beta64))
+        assert (np.abs(out - expect) <= bound).all()
+
     def test_length_mismatch_rejected(self):
         x = Tensor4(np.zeros((1, 1, 1, 3), dtype=np.float32))
         p = BatchNormParams(np.zeros(2), np.ones(2), np.ones(2), np.zeros(2))
@@ -800,7 +826,7 @@ class TestAdd:
     def test_zero_identity_and_commutativity(self):
         rng = np.random.default_rng(12)
         x = rand_tensor(rng, (1, 3, 3, 2))
-        zero = Tensor4.zeros(1, 3, 3, 2)
+        zero = zeros(1, 3, 3, 2)
         y = rand_tensor(rng, (1, 3, 3, 2))
         assert np.array_equal(ops.add(x, zero).data, x.data)
         assert np.array_equal(ops.add(x, y).data, ops.add(y, x).data)
@@ -815,9 +841,9 @@ class TestAdd:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            ops.add(Tensor4.zeros(1, 2, 2, 1), Tensor4.zeros(1, 2, 3, 1))
+            ops.add(zeros(1, 2, 2, 1), zeros(1, 2, 3, 1))
         with pytest.raises(ValueError, match="mismatch"):  # shape is checked before dtype
-            ops.add(Tensor4.zeros(1, 2, 2, 1), Tensor4.zeros(1, 2, 3, 1, dtype=np.float64))
+            ops.add(zeros(1, 2, 2, 1), zeros(1, 2, 3, 1, dtype=np.float64))
 
     @pytest.mark.parametrize("a_dtype", DTYPES)
     @pytest.mark.parametrize("b_dtype", DTYPES)

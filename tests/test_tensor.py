@@ -12,7 +12,7 @@ class TestTensor4:
         assert t.data.ravel()[flat_index] == t.data[n, h, w, c]
 
     def test_properties(self):
-        t = Tensor4.zeros(2, 3, 4, 5)
+        t = Tensor4(np.zeros((2, 3, 4, 5), dtype=np.float32))
         assert (t.n, t.h, t.w, t.c) == (2, 3, 4, 5)
         assert t.shape == (2, 3, 4, 5)
         assert t.dtype == np.float32

@@ -18,7 +18,7 @@ from fcnndepth.upconv import (
     verify_equivalence,
 )
 from fcnndepth.weights_io import WeightContainer, WeightFormatError
-from helpers import phase_taps
+from helpers import phase_taps, zeros
 
 
 def identity_bn(c, dtype=np.float32):
@@ -169,7 +169,7 @@ class TestBlockWeightCheck:
             weights = split_weights_5x5(weights)
         del weights.entries["dec.b1.bn"]
         with pytest.raises(ValueError, match=re.escape("layer 'dec.b1.bn': missing weight entry")):
-            block(Tensor4.zeros(1, 4, 5, 2), weights)
+            block(zeros(1, 4, 5, 2), weights)
 
 
 class TestNaiveBlock:
@@ -179,7 +179,7 @@ class TestNaiveBlock:
         bn = w["dec.b1.bn"]
         # no bias: conv output is zero
         w = naive_container(ConvKernel(w["dec.b1.up5x5"].weights, None), bn)
-        x = Tensor4.zeros(1, 3, 3, 2)
+        x = zeros(1, 3, 3, 2)
         out = upconv_block_naive(x, w)
         expected = np.maximum(
             bn.gamma * (0.0 - bn.mean) / np.sqrt(bn.variance + np.float32(bn.eps)) + bn.beta,
@@ -190,7 +190,7 @@ class TestNaiveBlock:
     def test_output_shape_doubles(self):
         rng = np.random.default_rng(3)
         w = random_upconv_weights(2, 4, rng)
-        out = upconv_block_naive(Tensor4.zeros(1, 5, 7, 2), w)
+        out = upconv_block_naive(zeros(1, 5, 7, 2), w)
         assert out.shape == (1, 10, 14, 4)
 
     def test_equals_straight_line_composition(self):
@@ -211,7 +211,7 @@ class TestNaiveBlock:
         rng = np.random.default_rng(5)
         w = random_upconv_weights(3, 2, rng)
         with pytest.raises(ValueError, match=r"layer 'dec\.b1\.up5x5': kernel shape"):
-            upconv_block_naive(Tensor4.zeros(1, 2, 2, 4), w)
+            upconv_block_naive(zeros(1, 2, 2, 4), w)
 
 
 class TestFastBlock:
