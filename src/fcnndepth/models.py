@@ -192,8 +192,8 @@ OPS: dict[str, Op] = {
                lambda a, xs, w: ops.conv2d_padded(xs[0], w, a["stride"], a["pads"], a["up"]),
                "conv", lambda layer: _conv_macs(layer) // math.prod(layer.attrs["up"])),
     # each input pixel meets every kh*kw*cin*cout weight once, stride**2 fewer
-    # MACs than a conv with the same output shape; ops.deconv2d's phase
-    # convolutions execute exactly this many
+    # MACs than a conv with the same output shape; ops.deconv2d's one
+    # zero-inserted _conv_taps call executes exactly this many
     "deconv": Op(_deconv_shape, lambda a, xs, w: ops.deconv2d(xs[0], w, a["stride"]),
                  "conv", lambda layer: _conv_macs(layer) // layer.attrs["stride"] ** 2),
     "bn": Op(_same_shape, lambda a, xs, w, out=None: ops.batchnorm_infer(xs[0], w, out),
@@ -327,13 +327,11 @@ def build_model(spec: ModelSpec) -> LayerGraph:
     targets += [b.shape(stem)[1:3], (spec.input_h, spec.input_w)]
     n_blocks = len(targets)
 
-    # Skip edges: block index -> encoder source layer.
+    # Skip edges: block index -> encoder source layer. Block j's target is
+    # the resolution of stack_outs[-1 - j], so "full" pairs them in order.
     skip_map: dict[int, str] = {}
     if spec.skips == "full":
-        by_res = {b.shape(s)[1:3]: s for s in stack_outs[:-1]}
-        for j, res in enumerate(targets, start=1):
-            if res in by_res:
-                skip_map[j] = by_res[res]
+        skip_map = dict(enumerate(stack_outs[-2::-1], start=1))
     elif spec.skips == "outer_middle":
         skip_map[n_blocks] = stack_outs[0]
         skip_map[math.ceil(n_blocks / 2)] = stack_outs[1]

@@ -96,9 +96,8 @@ def conv2d_padded(
         out = _conv_taps(x.data, kernel.weights, pads, up)
     else:
         (n, _, _, cin), (kh, kw, _, cout) = x.shape, kernel.weights.shape
-        windows = sliding_window_view(_pad(x.data, pads), (kh, kw), axis=(1, 2))
-        # (N, Ho, Wo, C, kh, kw) -> (N, Ho, Wo, kh, kw, C), the kernel's (kh, kw, cin) order
-        windows = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+        windows = sliding_window_view(_pad(x.data, pads), (kh, kw, cin), axis=(1, 2, 3))
+        windows = windows[:, ::stride, ::stride, 0]  # (N, Ho, Wo, kh, kw, cin)
         _, oh, ow = windows.shape[:3]
         k = kh * kw * cin
         weights = kernel.weights.reshape(k, cout)

@@ -128,6 +128,8 @@ class BatchNormParams:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has non-finite values")
             object.__setattr__(self, name, arr)
+        if self.channels < 1:
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
         if np.any(self.variance < 0):
             raise ValueError("variance must be nonnegative")
         if not 0 < self.eps < np.inf:

@@ -55,9 +55,6 @@ class WeightContainer:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def names(self) -> list[str]:
-        return list(self.entries)
-
 
 def _record(name: str, kind: int, array: np.ndarray) -> tuple[bytes, np.ndarray]:
     """The header bytes of one record, and its array."""

@@ -368,3 +368,13 @@ def test_readme_command_lines_parse():
     }
     for argv in commands:
         _build_parser().parse_args(argv)  # exits on an unknown flag or choice
+
+
+def test_readme_library_example_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"^## Library example\n\n```python\n(.*?)^```", readme, flags=re.M | re.S)
+    scope: dict = {}
+    exec(code, scope)
+    depth, depth_fast = scope["depth"], scope["depth_fast"]
+    assert depth.shape == depth_fast.shape == (1, 240, 320, 1)
+    assert np.abs(depth_fast.data - depth.data).max() <= 1e-4

@@ -214,7 +214,7 @@ class TestInfer:
         for name in PRESETS:
             graph = build_model(preset(name, input_h=64, input_w=64, width_div=16))
             weights = random_weights(graph, seed=0)
-            assert list(required_weights(graph)) == weights.names()
+            assert list(required_weights(graph)) == list(weights.entries)
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +316,7 @@ class TestWeightCheck:
     @given(data=st.data())
     def test_single_corruption_names_a_layer_before_any_conv(self, lite_fast, data):
         graph, good = lite_fast
-        names = good.names()
+        names = list(good.entries)
         victim = data.draw(st.sampled_from(names), label="victim")
         how = data.draw(st.sampled_from(["drop", "swap", "reshape", "float64"]), label="how")
         entries = dict(good.entries)

@@ -126,3 +126,10 @@ class TestBatchNormParams:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths"):
             BatchNormParams(np.zeros(2), np.ones(3), np.ones(2), np.zeros(2))
+
+    def test_rejects_zero_channels(self):
+        # the FCNW reader refuses a (5, 0) batch-norm record, so the type
+        # must not accept what could be saved but never loaded
+        empty = np.zeros(0, dtype=np.float32)
+        with pytest.raises(ValueError, match="channels must be >= 1, got 0"):
+            BatchNormParams(empty, empty, empty, empty)

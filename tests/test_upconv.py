@@ -287,7 +287,7 @@ class TestRandomUpconvWeights:
         drawn = random_upconv_weights(cin, cout, np.random.default_rng(5), dtype)
         graph = block_graph("upconv_naive", 1, 1, cin, cout)
         ref = random_weights(graph, np.random.default_rng(5), dtype)
-        assert drawn.names() == ref.names()
+        assert list(drawn.entries) == list(ref.entries)
         kernel = drawn["dec.b1.up5x5"]
         assert kernel.weights.dtype == dtype
         assert np.array_equal(kernel.weights, ref["dec.b1.up5x5"].weights)

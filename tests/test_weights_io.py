@@ -1,9 +1,14 @@
 import re
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fcnndepth.models import build_model, preset, random_weights, required_weights
 from fcnndepth.ops import BRANCHES
@@ -40,8 +45,8 @@ def container():
 
 
 def assert_containers_equal(a: WeightContainer, b: WeightContainer):
-    assert a.names() == b.names()
-    for name in a.names():
+    assert list(a.entries) == list(b.entries)
+    for name in a.entries:
         ea, eb = a[name], b[name]
         assert type(ea) is type(eb)
         if isinstance(ea, ConvKernel):
@@ -55,7 +60,71 @@ def assert_containers_equal(a: WeightContainer, b: WeightContainer):
             assert ea.eps == eb.eps
 
 
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def accepted_containers(draw):
+    """Float32 containers as the value types accept them: kernels of any
+    float32 values (NaN and inf included) with 1-3 per axis, with and
+    without bias; batch norms of 0-8 channels, where 0 must raise, eps
+    anywhere in float32's positive finite range; names from all of Unicode, the empty name among
+    them, and "<kernel>.bias" entries next to a biased kernel."""
+    def kernel(shape):
+        bias = draw(st.none() | arrays(np.float32, shape[3], elements=st.floats(width=32)))
+        return ConvKernel(draw(arrays(np.float32, shape, elements=st.floats(width=32))), bias)
+
+    entries = {}
+    for name in draw(st.lists(st.text(max_size=6), max_size=5, unique=True)):
+        if draw(st.booleans()):
+            entries[name] = kernel(tuple(draw(st.integers(1, 3)) for _ in range(4)))
+            if entries[name].bias is not None and draw(st.booleans()):
+                entries[f"{name}.bias"] = kernel((1, 1, 1, draw(st.integers(1, 3))))
+            continue
+        c = draw(st.integers(0, 8))
+        finite = st.floats(-FLOAT32_MAX, FLOAT32_MAX, width=32)
+        mean, gamma, beta = (draw(arrays(np.float32, c, elements=finite)) for _ in range(3))
+        variance = draw(arrays(np.float32, c, elements=st.floats(0, FLOAT32_MAX, width=32)))
+        eps = draw(st.floats(float(np.finfo(np.float32).smallest_subnormal), FLOAT32_MAX,
+                             width=32))
+        if c == 0:  # a (5, 0) record could be saved but never loaded
+            with pytest.raises(ValueError, match="channels must be >= 1, got 0"):
+                BatchNormParams(mean, variance, gamma, beta, eps)
+            continue
+        entries[name] = BatchNormParams(mean, variance, gamma, beta, eps)
+    return WeightContainer(entries)
+
+
+def assert_containers_bit_equal(a: WeightContainer, b: WeightContainer):
+    assert list(a.entries) == list(b.entries)
+    for name, ea in a.entries.items():
+        eb = b[name]
+        assert type(ea) is type(eb)
+        if isinstance(ea, ConvKernel):
+            pairs = [(ea.weights, eb.weights)]
+            assert (ea.bias is None) == (eb.bias is None)
+            if ea.bias is not None:
+                pairs.append((ea.bias, eb.bias))
+        else:
+            fields = ("mean", "variance", "gamma", "beta")
+            pairs = [(getattr(ea, f), getattr(eb, f)) for f in fields]
+            pairs.append((np.float32(ea.eps), np.float32(eb.eps)))
+        for x, y in pairs:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
 class TestRoundTrip:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(accepted_containers())
+    def test_every_accepted_container_round_trips(self, container):
+        with tempfile.TemporaryDirectory() as tmp:  # hypothesis rejects function-scoped fixtures
+            first, second = Path(tmp) / "a.fcnw", Path(tmp) / "b.fcnw"
+            save_weights(container, first)
+            loaded = load_weights(first)
+            assert_containers_bit_equal(container, loaded)
+            save_weights(loaded, second)
+            assert first.read_bytes() == second.read_bytes()
+
     def test_save_load_identity(self, container, tmp_path):
         path = tmp_path / "w.fcnw"
         save_weights(container, path)
@@ -81,7 +150,7 @@ class TestRoundTrip:
         save_weights(weights, path)
         loaded = load_weights(path)
         assert_containers_equal(weights, loaded)
-        assert list(required_weights(graph)) == loaded.names()
+        assert list(required_weights(graph)) == list(loaded.entries)
 
     def test_save_peak_memory_well_under_weight_bytes(self, tmp_path):
         # records go to the file one at a time, each array from its own buffer
@@ -301,7 +370,7 @@ class TestSplitContainer:
         graph = build_model(preset("lite-upconv", input_h=64, input_w=64, width_div=16))
         weights = random_weights(graph, seed=2)
         fast = split_container(weights)
-        for name in weights.names():
+        for name in weights.entries:
             if name.endswith(".up5x5"):
                 base = name[: -len(".up5x5")]
                 assert f"{base}.k33" in fast
@@ -326,7 +395,7 @@ class TestSplitContainer:
         graph = build_model(preset("lite-upconv", input_h=64, input_w=64, width_div=16))
         weights = random_weights(graph, seed=6)
         fast = split_container(weights)
-        naive = [name for name in weights.names() if name.endswith(".up5x5")]
+        naive = [name for name in weights.entries if name.endswith(".up5x5")]
         assert naive
         for name in naive:
             kernel, base = weights[name].weights, name[: -len(".up5x5")]
