@@ -204,7 +204,7 @@ OPS: dict[str, Op] = {
     "add": Op(_same_shape, lambda a, xs, w, out=None: ops.add(xs[0], xs[1], out), in_place=True),
     "interleave4": Op(_up2_shape, lambda a, xs, w: interleave4(*xs)),
     "crop": Op(_crop_shape,
-               lambda a, xs, w: Tensor4(xs[0].data[:, : a["target_h"], : a["target_w"]])),
+               lambda a, xs, w: Tensor4(xs[0].data[:, : a["target_h"], : a["target_w"]].copy())),
 }
 
 
@@ -461,6 +461,8 @@ def infer(graph: LayerGraph, weights, image: Tensor4) -> Tensor4:
     the first layer runs, and the image is cast once to the weights' dtype,
     in which the graph computes. A mid-graph shape violation, such as an
     output shape other than the layer's `out_shape`, raises ValueError naming it.
+    A batch norm, ReLU or add writes into its first input when no later layer
+    reads it; infer never writes into the image or the output.
     """
     _, h, w, c = graph.input_shape
     if image.shape[1:] != (h, w, c):
@@ -470,19 +472,17 @@ def infer(graph: LayerGraph, weights, image: Tensor4) -> Tensor4:
         image = image.astype(dtype)
     if bad := np.count_nonzero(~np.isfinite(image.data)):
         raise ValueError(f"image has {bad} non-finite values")
+    # the layer that last reads each activation; image and output outlive all
     last_use = {src: i for i, layer in enumerate(graph.layers) for src in layer.inputs}
+    last_use["image"] = last_use[graph.output] = len(graph.layers)
     acts: dict[str, Tensor4] = {"image": image}
     for i, layer in enumerate(graph.layers):
-        op, xs, first = OPS[layer.kind], [acts[s] for s in layer.inputs], layer.inputs[0]
+        op, xs = OPS[layer.kind], [acts[s] for s in layer.inputs]
         weight = weights[layer.name] if op.weight else None
-        # An in-place kind overwrites its first input when that dies here and
-        # is neither the caller's image, the graph output nor another input.
-        # Only crop makes views, and its source dies at the crop, so no live
-        # activation shares the overwritten buffer.
-        overwrite = (op.in_place and last_use[first] == i
-                     and first not in ("image", graph.output) and layer.inputs.count(first) == 1)
+        # no run returns a view, so a dead first input's buffer is no live one's
+        dead = op.in_place and last_use[layer.inputs[0]] == i
         try:
-            out = op.run(layer.attrs, xs, weight, **({"out": xs[0].data} if overwrite else {}))
+            out = op.run(layer.attrs, xs, weight, **({"out": xs[0].data} if dead else {}))
         except ValueError as err:
             raise ValueError(f"layer {layer.name!r}: {err}") from None
         if out.shape != (image.n,) + layer.out_shape[1:]:
@@ -491,8 +491,8 @@ def infer(graph: LayerGraph, weights, image: Tensor4) -> Tensor4:
                 f"trace expects {(image.n,) + layer.out_shape[1:]}"
             )
         acts[layer.name] = out
-        for src in layer.inputs:
-            if last_use.get(src) == i and src != graph.output:
+        for src in set(layer.inputs):
+            if last_use[src] == i:
                 del acts[src]
     return acts[graph.output]
 

@@ -58,7 +58,10 @@ class WeightContainer:
 
 def _record(name: str, kind: int, array: np.ndarray) -> tuple[bytes, np.ndarray]:
     """The header bytes of one record, and its array."""
-    encoded = name.encode("utf-8")
+    try:
+        encoded = name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise WeightFormatError(f"entry {name!r}: name is not encodable as UTF-8") from None
     if len(encoded) > 0xFFFF:
         raise WeightFormatError(f"name too long: {name!r}")
     header = struct.pack(f"<H{len(encoded)}sBB{array.ndim}I",

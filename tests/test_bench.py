@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from fcnndepth import bench, ops
@@ -32,3 +33,15 @@ def test_environment_records_conv_workers(monkeypatch):
     assert bench.environment()["conv_workers"] == ops.THREADS
     monkeypatch.setattr(ops, "THREADS", 7)
     assert bench.environment()["conv_workers"] == 7
+
+
+def test_environment_without_config_dicts(monkeypatch):
+    # numpy < 1.26 has no show_config(mode=...), so the BLAS keys stay empty
+    def old_show_config(*args, **kwargs):
+        raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+    monkeypatch.setattr(np, "show_config", old_show_config)
+    env = bench.environment()
+    assert env["blas_name"] is None and env["blas_version"] is None
+    assert env["numpy_version"] == np.__version__
+    assert env["cpu_count"] and env["conv_workers"] == ops.THREADS

@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import runpy
 import shlex
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +112,16 @@ class TestVerifyCommand:
     def test_seed_validation(self, capsys):
         assert main(["verify", "--seeds", "0"]) == 2
         assert capsys.readouterr().err == "error: --seeds must be >= 1\n"
+
+    def test_module_runs_as_a_script(self, capsys, monkeypatch):
+        # `python -m fcnndepth.cli` goes through entry(), which exits with main's status;
+        # a fresh import keeps runpy from warning that the module is already loaded
+        monkeypatch.delitem(sys.modules, "fcnndepth.cli")
+        monkeypatch.setattr(sys, "argv", ["fcnndepth", "verify", "--seeds", "1"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("fcnndepth.cli", run_name="__main__")
+        assert exit_.value.code == 0
+        assert "PASS" in capsys.readouterr().out
 
 
 class TestEvalCommand:

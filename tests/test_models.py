@@ -492,10 +492,11 @@ class TestOpTable:
         assert len(deconvs) == 5
         assert sum(OPS["deconv"].macs(l) for l in deconvs) == expected
 
-    def test_crop_returns_a_view(self):
+    def test_crop_returns_a_copy(self):
+        # no run returns a view, so infer's in-place writes alias nothing
         x = rand_image(6, 7)
         out = OPS["crop"].run({"target_h": 4, "target_w": 5}, [x], None)
-        assert np.shares_memory(out.data, x.data)
+        assert not np.shares_memory(out.data, x.data)
         assert np.array_equal(out.data, x.data[:, :4, :5])
 
     def test_random_weights_peak_memory_near_weight_bytes(self):
@@ -564,7 +565,7 @@ class TestInPlaceOracle:
         assert infer(graph, WeightContainer({"b": bn}), image).data.min() < 0
 
     def test_crop_sources_die_at_the_crop(self):
-        # crops make the only views in infer, so a dead input's buffer is no live one's
+        # the builder never reads a crop's source after the crop, so the uncropped map dies there
         crops = 0
         for name in PRESETS:
             graph = build_model(preset(name, input_h=48, input_w=96, width_div=16))
@@ -574,6 +575,42 @@ class TestInPlaceOracle:
                     crops += 1
                     assert layer.inputs[0] != "image" and last_use[layer.inputs[0]] == i
         assert crops
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_hand_built_graph_matches_pure_reference(self, data):
+        # Any wiring of the elementwise, crop and pool kinds: an add may read
+        # one input twice, a crop may read the image, and the output may be
+        # read by later layers.
+        def draw(strategy, label):
+            return data.draw(strategy, label=label)
+
+        h, w = draw(st.integers(1, 6), "h"), draw(st.integers(1, 6), "w")
+        c = draw(st.integers(1, 3), "c")
+        rng = np.random.default_rng(draw(st.integers(0, 2**16), "seed"))
+        shapes, layers, entries = {"image": (1, h, w, c)}, [], {}
+        for i in range(draw(st.integers(1, 8), "layers")):
+            name, src = f"l{i}", draw(st.sampled_from(sorted(shapes)), "src")
+            _, sh, sw, _ = shapes[src]
+            kinds = ["relu", "bn", "add", "crop"] + ["maxpool2"] * (sh % 2 == sw % 2 == 0)
+            kind, attrs, inputs = draw(st.sampled_from(kinds), "kind"), {}, (src,)
+            if kind == "add":
+                alike = [s for s in sorted(shapes) if shapes[s] == shapes[src]]
+                inputs += (draw(st.sampled_from(alike), "other"),)
+            elif kind == "crop":
+                attrs = {"target_h": draw(st.integers(1, sh), "th"),
+                         "target_w": draw(st.integers(1, sw), "tw")}
+            elif kind == "bn":
+                mean, beta = rng.standard_normal((2, c), np.float32)
+                entries[name] = BatchNormParams(mean, rng.uniform(0.5, 2, c).astype(np.float32),
+                                                rng.uniform(0.5, 2, c).astype(np.float32), beta)
+            shapes[name] = OPS[kind].shape([shapes[s] for s in inputs], attrs)
+            layers.append(Layer(name, kind, inputs, shapes[name], attrs))
+        graph = LayerGraph((1, h, w, c), tuple(layers),
+                           output=draw(st.sampled_from([l.name for l in layers]), "output"),
+                           bottleneck="image")
+        image = Tensor4(rng.standard_normal((1, h, w, c), np.float32))
+        self.check(graph, WeightContainer(entries), image)
 
 
 # tracemalloc peaks of infer at 480x640, width /8, random_weights seed 0, on

@@ -205,6 +205,14 @@ class TestRoundTrip:
                 save_weights(bad, path)
             assert path.read_bytes() == b"previous contents"
 
+    def test_name_utf8_cannot_encode_rejected(self, tmp_path):
+        # a lone surrogate is a valid str but has no UTF-8 encoding
+        path = tmp_path / "w.fcnw"
+        bad = WeightContainer({"\ud800": ConvKernel(np.zeros((1, 1, 1, 1), np.float32))})
+        with pytest.raises(WeightFormatError, match=r"entry '\\ud800': name is not encodable"):
+            save_weights(bad, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("eps,rounded", [(1e-50, "0.0"), (1e39, "inf")])
     def test_eps_outside_float32_rejected(self, container, tmp_path, eps, rounded):
         # 1e-50 rounds to 0 and 1e39 overflows to inf in float32: either file
