@@ -187,7 +187,10 @@ class Op:
 # that a wrapper installed on those module attributes sees every call.
 OPS: dict[str, Op] = {
     # a conv reading its input upsampled by (uh, uw) runs its taps' GEMMs on
-    # the input itself, uh * uw fewer MACs than its output shape suggests
+    # the input itself, uh * uw fewer MACs than its output shape suggests.
+    # These are nominal MACs: a nonbt conv13 with up to 32 output channels
+    # repeats each tap's GEMM in both column phases and executes 2x them
+    # (see ops._conv_taps)
     "conv": Op(_conv_shape,
                lambda a, xs, w: ops.conv2d_padded(xs[0], w, a["stride"], a["pads"], a["up"]),
                "conv", lambda layer: _conv_macs(layer) // math.prod(layer.attrs["up"])),
@@ -457,16 +460,26 @@ def _check_weights(graph: LayerGraph, weights) -> np.dtype | None:
 def infer(graph: LayerGraph, weights, image: Tensor4) -> Tensor4:
     """Run the graph on an image batch; a preset's output is the (N, H, W, 1) depth map.
 
-    The weights (see _check_weights) and the image's pixels are checked before
-    the first layer runs, and the image is cast once to the weights' dtype,
-    in which the graph computes. A mid-graph shape violation, such as an
-    output shape other than the layer's `out_shape`, raises ValueError naming it.
+    The wiring (each layer reads only "image" and earlier layers, and the
+    output names one of them), the weights (see _check_weights) and the
+    image's pixels are checked before the first layer runs, and the image is
+    cast once to the weights' dtype, in which the graph computes. A
+    mid-graph shape violation, such as an output shape other than the
+    layer's `out_shape`, raises ValueError naming it.
     A batch norm, ReLU or add writes into its first input when no later layer
     reads it; infer never writes into the image or the output.
     """
     _, h, w, c = graph.input_shape
     if image.shape[1:] != (h, w, c):
         raise ValueError(f"image shape {image.shape} does not match expected (N, {h}, {w}, {c})")
+    made = {"image"}
+    for layer in graph.layers:
+        if unmade := [s for s in layer.inputs if s not in made]:
+            raise ValueError(
+                f"layer {layer.name!r}: input {unmade[0]!r} is made by no earlier layer")
+        made.add(layer.name)
+    if graph.output not in made:
+        raise ValueError(f"output {graph.output!r} names no layer")
     dtype = _check_weights(graph, weights)
     if dtype is not None and image.dtype != dtype:
         image = image.astype(dtype)

@@ -68,6 +68,20 @@ def nearest_up2(x: Tensor4, up: tuple[int, int] = (2, 2)) -> Tensor4:
     return Tensor4(out)
 
 
+def zero_inserted(x: Tensor4, up: tuple[int, int]) -> Tensor4:
+    """Zero insertion: output pixel (uh * r, uw * s) is input pixel (r, s), every other one is 0.
+
+    The explicit grid that ``ops._conv_taps(..., zeros=True)`` reads without
+    building, trailing zeros included.
+    """
+    (n, h, w, c), (uh, uw) = x.shape, up
+    out = np.zeros((n, uh * h, uw * w, c), dtype=x.dtype)
+    for r in range(h):
+        for s in range(w):
+            out[:, uh * r, uw * s] = x.data[:, r, s]
+    return Tensor4(out)
+
+
 def same_pads_ref(size: int, k: int, stride: int) -> tuple[int, int]:
     out = -(-size // stride)
     total = max((out - 1) * stride + k - size, 0)

@@ -192,6 +192,23 @@ class TestInfer:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             infer(graph, WeightContainer({}), zeros(1, 3, 3, 1))
 
+    @pytest.mark.parametrize("inputs,output,message", [
+        (("nope",), "a", "layer 'a': input 'nope' is made by no earlier layer"),
+        (("b",), "b", "layer 'a': input 'b' is made by no earlier layer"),  # made later
+        (("image",), "zz", "output 'zz' names no layer"),
+    ])
+    def test_bad_wiring_names_layer_before_running(self, inputs, output, message, monkeypatch):
+        # a hand-built graph: build_model's _Builder never makes one
+        shape = (1, 2, 2, 1)
+        graph = LayerGraph(shape, (Layer("a", "relu", inputs, shape),
+                                   Layer("b", "relu", ("image",), shape)),
+                           output=output, bottleneck="image")
+        calls = []
+        monkeypatch.setattr(ops, "relu", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            infer(graph, WeightContainer({}), zeros(*shape))
+        assert calls == []
+
     @pytest.mark.parametrize("victim,donor", [
         ("dec.b2.up5x5", "dec.b2.bn"),
         ("dec.b2.bn", "dec.b2.up5x5"),

@@ -12,7 +12,7 @@ from fcnndepth import ops
 from fcnndepth.tensor import BatchNormParams, ConvKernel, Tensor4
 from helpers import (
     conv2d_loop_ref, deconv2d_scatter_ref, deconv2d_stuffed_ref, nearest_up2, phase_taps,
-    same_pads_ref, zeros,
+    same_pads_ref, zero_inserted, zeros,
 )
 
 
@@ -298,6 +298,17 @@ class CountingPool(ThreadPoolExecutor):
         return super().submit(*args)
 
 
+class NaNEmpty:
+    """numpy, except that `empty` fills its arrays with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+
 class TestRowBands:
     BAND_CASES = dict(
         n=st.integers(1, 3), h=st.integers(1, 7), w=st.integers(1, 7),
@@ -402,20 +413,32 @@ class TestRowBands:
             monkeypatch.setattr(ops, "THREADS", threads)
             assert ops._bands(2, oh, uh, macs, scratch) == expected
 
-    @pytest.mark.parametrize("conv", ["same3x3", "up21", "stride2", "deconv"])
+    @pytest.mark.parametrize("conv", ["same3x3", "up21", "stride2", "deconv",
+                                      "up12", "cout1", "cout1_pixel_rows", "cout1_up23",
+                                      "deconv_cout1"])
     def test_same_bits_on_any_thread_count(self, conv, monkeypatch):
-        # 4 bands per image, on this thread alone, and on it plus one worker
+        # 4 bands per image, on this thread alone, and on it plus one worker;
+        # deconv and up12 run as column phases (up12's first tap writing its
+        # band's rows), the cout1 cases as tap planes
         rng = np.random.default_rng(31)
         x = rand_tensor(rng, (2, 17, 13, 6))
         k = rand_kernel(rng, 5 if conv == "deconv" else 3, 3, 6, 5)
+        k1 = rand_kernel(rng, 5, 5, 6, 1)
         run = {
             "same3x3": lambda: conv_same(x, k),
             "up21": lambda: ops.conv2d_padded(x, k, 1, (1, 1, 1, 1), (2, 1)),
             "stride2": lambda: conv_same(x, k, 2),
             "deconv": lambda: ops.deconv2d(x, k, 2),
+            "up12": lambda: ops.conv2d_padded(x, k, 1, (0, 2, 2, 1), (1, 2)),
+            "cout1": lambda: conv_same(x, k1),
+            "cout1_pixel_rows": lambda: conv_same(x, k1),
+            "cout1_up23": lambda: ops.conv2d_padded(x, k1, 1, (2, 1, 0, 3), (2, 3)),
+            "deconv_cout1": lambda: ops.deconv2d(x, k1, 2),
         }[conv]
         monkeypatch.setattr(ops, "PARALLEL_MACS", 0)
         monkeypatch.setattr(ops, "BAND_BYTES", 1)
+        monkeypatch.setattr(ops, "PRODUCT_BYTES", 1)
+        monkeypatch.setattr(ops, "PIXEL_ROWS_CIN", 1 if conv == "cout1_pixel_rows" else 2**62)
         outs = []
         for workers in (0, 1, 2):
             pool = CountingPool(workers) if workers else None
@@ -427,7 +450,6 @@ class TestRowBands:
                 # each conv call, a deconv too, gives each worker one share
                 assert pool.jobs == workers
         assert all(np.array_equal(outs[0], out) for out in outs[1:])
-
 
     def test_each_band_runs_once_under_thread_switching(self, monkeypatch):
         # more threads than cores, switching often: a band run twice would
@@ -455,6 +477,131 @@ class TestRowBands:
             pool.shutdown(wait=False)
         assert not runner.is_alive() and len(outs) == 20
         assert all(np.array_equal(ref, out) for out in outs)
+
+
+def fit_pads(pads, k, up, size):
+    """`pads` with the trailing ones widened so the padded upsampled grid holds the kernel."""
+    pt, pb, pl, pr = pads
+    return (pt, pb + max(k[0] - (up[0] * size[0] + pt + pb), 0),
+            pl, pr + max(k[1] - (up[1] * size[1] + pl + pr), 0))
+
+
+def assert_within_rounding(out, grid, weights, pads):
+    """`out` is the correlation of `grid` with `weights` (no bias), padded by `pads`, to rounding.
+
+    The bound is ``|out - ref| <= 2 * (K + 2) * u * S`` per output, where
+    K = kh * kw * cin products meet in each output, u is the unit roundoff of
+    out's dtype and S is the same correlation of |grid| with |weights|. A
+    sum of K products in any order stays within (K + 2) * u * S of the
+    exact value; the factor 2 covers the float64 reference's own rounding
+    in float64 cases.
+    """
+    ref = conv2d_loop_ref(grid, ConvKernel(weights), 1, pads)
+    size = conv2d_loop_ref(Tensor4(np.abs(grid.data)), ConvKernel(np.abs(weights)), 1, pads)
+    kh, kw, cin, _ = weights.shape
+    assert out.shape == ref.shape and out.dtype == weights.dtype
+    u = np.finfo(out.dtype).eps / 2
+    assert (np.abs(out - ref) <= 2 * (kh * kw * cin + 2) * u * size).all()
+
+
+class TestConvForms:
+    """The tap-plane and column-phase forms of ops._conv_taps, banded."""
+
+    FORM_CASES = dict(
+        n=st.integers(1, 2), h=st.integers(1, 5), w=st.integers(1, 5),
+        cin=st.integers(1, 4), kh=st.integers(1, 5), kw=st.integers(1, 5),
+        pads=st.tuples(*[st.integers(0, 3)] * 4), zeros=st.booleans(),
+        dtype=st.sampled_from(DTYPES), bands=st.integers(1, 4), seed=st.integers(0, 2**16),
+    )
+
+    @staticmethod
+    def run(x, weights, pads, up, zeros, budget, scratch, bands, **consts):
+        """_conv_taps with the image's rows split into up to `bands` bands by `budget`,
+        and `consts` set on ops. Its empty arrays start as NaN, so an output
+        pixel or scratch value that it reads before writing shows."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "np", NaNEmpty())
+            mp.setattr(ops, "PARALLEL_MACS", 2**62)
+            mp.setattr(ops, budget, -(-scratch // bands))
+            for name, value in consts.items():
+                mp.setattr(ops, name, value)
+            return ops._conv_taps(x.data, weights, pads, up, zeros)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(up=st.tuples(st.integers(1, 3), st.integers(1, 3)), pixel_rows=st.booleans(),
+           **FORM_CASES)
+    def test_single_output_planes_match_loop_reference(
+        self, n, h, w, cin, kh, kw, up, pixel_rows, pads, zeros, dtype, bands, seed
+    ):
+        # cout 1: one GEMM per band into a plane per tap, either way round,
+        # within the bound of assert_within_rounding, on the grid read
+        # nearest or zero-inserted
+        pads = fit_pads(pads, (kh, kw), up, (h, w))
+        rng = np.random.default_rng(seed)
+        x = rand_tensor(rng, (n, h, w, cin), dtype)
+        weights = rand_kernel(rng, kh, kw, cin, 1, bias=False, dtype=dtype).weights
+        scratch = kh * kw * h * w * np.dtype(dtype).itemsize
+        out = self.run(x, weights, pads, up, zeros, "PRODUCT_BYTES", scratch, bands,
+                       PIXEL_ROWS_CIN=1 if pixel_rows else 2**62)
+        grid = zero_inserted(x, up) if zeros else nearest_up2(x, up)
+        assert_within_rounding(out, grid, weights, pads)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(cout=st.integers(2, 4), uh=st.integers(1, 3), uw=st.integers(2, 3), **FORM_CASES)
+    def test_column_phases_match_loop_reference(
+        self, n, h, w, cin, cout, kh, kw, uh, uw, pads, zeros, dtype, bands, seed
+    ):
+        # cout > 1 read with columns upsampled: a nearest read's repeated
+        # kernels or a zero-inserted read's offset groups, within the bound
+        # of assert_within_rounding
+        pads = fit_pads(pads, (kh, kw), (uh, uw), (h, w))
+        rng = np.random.default_rng(seed)
+        x = rand_tensor(rng, (n, h, w, cin), dtype)
+        weights = rand_kernel(rng, kh, kw, cin, cout, bias=False, dtype=dtype).weights
+        # a nearest read's phases size their bands by PRODUCT_BYTES, a
+        # zero-inserted read's by BAND_BYTES, as the taps do
+        scratch = h * w * (1 if zeros else uw) * cout * np.dtype(dtype).itemsize
+        budget = "BAND_BYTES" if zeros else "PRODUCT_BYTES"
+        out = self.run(x, weights, pads, (uh, uw), zeros, budget, scratch, bands)
+        grid = zero_inserted(x, (uh, uw)) if zeros else nearest_up2(x, (uh, uw))
+        assert_within_rounding(out, grid, weights, pads)
+
+    @pytest.mark.parametrize("kh, kw, pads", [
+        (1, 3, (0, 0, 1, 1)),  # the nonbt conv13
+        (3, 3, (0, 2, 2, 0)),
+        (2, 5, (0, 1, 4, 1)),
+        (1, 2, (0, 0, 1, 3)),  # tap 0 misses columns on both sides
+    ])
+    @pytest.mark.parametrize("uw", [2, 3])
+    @pytest.mark.parametrize("bands", [1, 3])
+    def test_nearest_phases_write_their_first_tap(self, kh, kw, pads, uw, bands):
+        # the first tap row reads the input rows one to one, so each band's
+        # first group writes its rows and zeroes the columns it misses
+        rng = np.random.default_rng(kh * 10 + kw)
+        x = rand_tensor(rng, (2, 7, 5, 3))
+        weights = rand_kernel(rng, kh, kw, 3, 4, bias=False).weights
+        out = self.run(x, weights, pads, (1, uw), False, "PRODUCT_BYTES",
+                       7 * 5 * uw * 4 * 4, bands)
+        assert_within_rounding(out, nearest_up2(x, (1, uw)), weights, pads)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(cout=st.integers(2, 5), uh=st.integers(1, 3), uw=st.integers(2, 3), **FORM_CASES)
+    def test_column_phases_keep_the_bits_of_the_taps(
+        self, n, h, w, cin, cout, kh, kw, uh, uw, pads, zeros, dtype, bands, seed
+    ):
+        # Each output pixel sums the products of the taps form (which
+        # PHASE_COLUMNS 1 selects, one tap at a time) in their order, so under
+        # one band split the column phases give its bits. A nearest read's
+        # phases split by PRODUCT_BYTES, set here to give the taps' split.
+        pads = fit_pads(pads, (kh, kw), (uh, uw), (h, w))
+        rng = np.random.default_rng(seed)
+        x = rand_tensor(rng, (n, h, w, cin), dtype)
+        weights = rand_kernel(rng, kh, kw, cin, cout, bias=False, dtype=dtype).weights
+        scratch = h * w * cout * np.dtype(dtype).itemsize
+        outs = [self.run(x, weights, pads, (uh, uw), zeros, "BAND_BYTES", scratch, bands,
+                         PRODUCT_BYTES=uw * -(-scratch // bands), PHASE_COLUMNS=columns)
+                for columns in (ops.PHASE_COLUMNS, 1)]
+        assert np.array_equal(*outs)
 
 
 class TestDeconv2d:
@@ -691,6 +838,30 @@ class TestBatchNorm:
         bound = 7 * u * (np.abs(x64 * scale) + np.abs(mean64 * scale) + np.abs(beta64))
         assert (np.abs(out - expect) <= bound).all()
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(2, 5, 4, 16), (1, 3, 7, 3), (1, 4, 5, 1)])
+    def test_row_form_keeps_the_bits_of_the_broadcast(self, dtype, shape, monkeypatch):
+        # BN_ROW_VALUES 0 repeats scale and shift along each row of pixels
+        # (but for one channel), 2**62 broadcasts them per pixel
+        rng = np.random.default_rng(sum(shape))
+        c = shape[3]
+        x = Tensor4((rng.standard_normal(shape) * 10).astype(dtype))
+        x.data[0, 0, 0] = np.inf
+        p = BatchNormParams(
+            rng.standard_normal(c).astype(dtype),
+            rng.uniform(0.1, 2.0, c).astype(dtype),
+            rng.standard_normal(c).astype(dtype),
+            rng.standard_normal(c).astype(dtype),
+            eps=1e-5,
+        )
+        outs = []
+        for values in (0, 2**62):
+            monkeypatch.setattr(ops, "BN_ROW_VALUES", values)
+            into = x.data.copy()
+            ops.batchnorm_infer(Tensor4(into), p, out=into)
+            outs += [ops.batchnorm_infer(x, p).data.tobytes(), into.tobytes()]
+        assert len(set(outs)) == 1
+
     def test_length_mismatch_rejected(self):
         x = Tensor4(np.zeros((1, 1, 1, 3), dtype=np.float32))
         p = BatchNormParams(np.zeros(2), np.ones(2), np.ones(2), np.zeros(2))
@@ -720,6 +891,17 @@ class TestResample:
         x = Tensor4(np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1))
         out = ops.maxpool2(x).data[0, :, :, 0]
         assert np.array_equal(out, np.array([[5, 7], [13, 15]], dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_maxpool_equals_the_block_reduction_nan_included(self, dtype):
+        rng = np.random.default_rng(71)
+        data = rng.standard_normal((2, 6, 8, 5)).astype(dtype)
+        data[rng.random(data.shape) < 0.05] = np.nan
+        data[0, 0, 0] = -np.inf
+        n, h, w, c = data.shape
+        ref = data.reshape(n, h // 2, 2, w // 2, 2, c).max(axis=(2, 4))
+        out = ops.maxpool2(Tensor4(data)).data
+        assert np.isnan(ref).any() and np.array_equal(out, ref, equal_nan=True)
 
     def test_maxpool_rejects_odd_dims(self):
         x = Tensor4(np.zeros((1, 3, 4, 1), dtype=np.float32))
