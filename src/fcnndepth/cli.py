@@ -138,7 +138,10 @@ def cmd_eval(args) -> int:
     pred_dir, gt_dir = Path(args.pred), Path(args.gt)
     pred_files = {p.name: p for p in sorted(pred_dir.glob("*.dpth"))}
     gt_files = {p.name: p for p in sorted(gt_dir.glob("*.dpth"))}
-    if not pred_files or pred_files.keys() != gt_files.keys():
+    for folder, files in ((pred_dir, pred_files), (gt_dir, gt_files)):
+        if not files:
+            raise ValueError(f"{folder}: no .dpth raster (missing or empty directory)")
+    if pred_files.keys() != gt_files.keys():
         only_pred = sorted(pred_files.keys() - gt_files.keys())
         only_gt = sorted(gt_files.keys() - pred_files.keys())
         raise ValueError(f"prediction/ground-truth sets differ "

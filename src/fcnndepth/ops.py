@@ -30,10 +30,10 @@ from .tensor import BatchNormParams, ConvKernel, Tensor4
 # measurement on a 2-core x86-64 host; see CHANGES.md.
 PARALLEL_MACS = 5_000_000
 BAND_BYTES = 4_000_000
-# The tap-plane and column-phase forms of _conv_taps size their bands so
-# that one band's products take about PRODUCT_BYTES: larger products fault
-# in fresh pages at every call, and at width /8 smaller ones stay in cache.
-# Set by measurement; see CHANGES.md.
+# The tap planes and a nearest read's column phases in _conv_taps size
+# their bands so that one band's products take about PRODUCT_BYTES: larger
+# products fault in fresh pages at every call, and at width /8 smaller ones
+# stay in cache. Set by measurement; see CHANGES.md.
 PRODUCT_BYTES = 1_000_000
 # A single-output conv with PIXEL_ROWS_CIN or more input channels runs its
 # tap-plane GEMM as one row of tap products per pixel: OpenBLAS runs the
@@ -45,12 +45,11 @@ PIXEL_ROWS_CIN = 32
 # write at most PHASE_COLUMNS values per input pixel: cout for a
 # zero-inserted read, uw * cout for a nearest read, which repeats each tap's
 # product in every phase. Wider convs keep the taps, whose strided adds then
-# run long enough. Set by measurement; see CHANGES.md.
+# run long enough. A zero-inserted read keeps the bound too: unbounded, the
+# wide deconvs ran no faster and 8x10x256 -> 128 slower, and the taps form
+# that the bound selects is the bit reference of the phases. Set by
+# measurement; see CHANGES.md.
 PHASE_COLUMNS = 64
-# A batch norm of at least BN_ROW_VALUES values multiplies whole rows of
-# pixels; on smaller ones, building the repeated rows costs more than it
-# saves (8x10x64: 8.8 against 11.2 us). Set by measurement.
-BN_ROW_VALUES = 16_384
 # The bands run on the calling thread and THREADS - 1 pool workers, one
 # thread per CPU this process may run on.
 THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -204,16 +203,17 @@ def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple, up=(1, 1), zeros
     The upsampling is nearest (each input pixel stands for a uh x uw block)
     or, with `zeros`, a zero insertion (each input pixel is the first of its
     block, the rest are 0). Neither the upsampled grid nor the padding is
-    built, and no input is copied. The output runs in the row bands of
-    :func:`_bands`. For tap row `a`, a band reads one contiguous slab of
-    input rows ``x[i, r0:r1]``, those its outputs read through that row in
-    every upsampling phase; a tap row that reaches no output row of the band
-    (or, with `zeros`, reads only inserted zeros there) runs no GEMM. A
-    product is added into the band's output pixels that read it, through the
-    slices that :func:`_tap_spans` gives once per kernel column and, per
-    band, once per kernel row, into an output that starts at zero unless the
-    band's first GEMM writes its rows. Each output pixel reads at most one
-    input pixel per tap. The conv's shapes pick one of three forms:
+    built, and a contiguous input is not copied (a strided one is, once).
+    The output runs in the row bands of :func:`_bands`. For tap row `a`, a
+    band reads one contiguous slab of input rows ``x[i, r0:r1]``, those its
+    outputs read through that row in every upsampling phase; a tap row
+    that reaches no output row of the band (or, with `zeros`, reads only
+    inserted zeros there) runs no GEMM. A product is added into the band's
+    output pixels that read it, through the slices that :func:`_tap_spans`
+    gives once per kernel column and, per band, once per kernel row, into
+    an output that starts at zero unless the band's first GEMM writes its
+    rows. Each output pixel reads at most one input pixel per tap. The
+    conv's shapes pick one of three forms:
 
     - Taps: tap (a, b) is one GEMM of the flat slab with the (cin, cout)
       view ``weights[a, b]`` into the band's scratch, so no kernel is copied
@@ -232,31 +232,33 @@ def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple, up=(1, 1), zeros
       order. A GEMM sums a dot product in another order than a GEMV, so
       outputs move by rounding.
     - Column phases, for ``uw > 1``, ``kw > 1`` and at most
-      :data:`PHASE_COLUMNS` GEMM columns per tap: the GEMMs of a group run
-      with N = cout each into their own columns of one product, whose
-      ``(pixels, uw, cout)`` rows are already the NHWC layout of the output
-      columns, so the group is added with one contiguous shift. Each output
-      pixel sums the taps form's products in its order, so the output is
-      bit-identical to it (resize-convolution is sub-pixel convolution with
-      tied kernels: Shi et al. 2016, arXiv 1609.05158; Aitken et al. 2017,
-      arXiv 1707.02937).
+      :data:`PHASE_COLUMNS` GEMM columns per tap: a group is one column tap
+      per output column phase (None where no tap reads it) and one shift
+      `s`. Its GEMMs run with N = cout each into their own columns of one
+      product, whose ``(pixels, uw, cout)`` rows are already the NHWC layout
+      of the output columns: output column ``o`` reads it at ``o + s``,
+      for ``max(0, -s) <= o < min(ow, uw * w - s)``, one contiguous shift.
+      Each output pixel sums the taps form's products in its order, so the
+      output is bit-identical to it (resize-convolution is sub-pixel
+      convolution with tied kernels: Shi et al. 2016, arXiv 1609.05158;
+      Aitken et al. 2017, arXiv 1707.02937).
 
-      - A nearest read makes each column tap a group of its kernel repeated
-        `uw` times: its product is then the product of the upsampled input,
-        which output column ``o`` reads at ``o + b - left``. The GEMMs run
-        `uw` times the conv's MACs. When the first tap row reads the input
-        rows one to one, the first group writes its band's rows and zeroes
-        the columns it misses, so the output needs no zero fill.
-      - A zero-inserted read groups a tap row's column taps by the input
-        column offset ``d`` they read, output column ``uw * m + p`` (phase
-        `p`) reading input column ``m + d``; each phase reads an offset
-        through at most one tap. When every phase reads ``d``, the group is
-        added with a shift of ``uw * d`` columns; an offset that only some
-        phases read is one GEMM per phase, each with its strided add. The
-        offsets run in increasing order, which is each pixel's tap order.
+      - A nearest read makes each column tap `b` a group of its kernel
+        repeated `uw` times, with ``s = b - left``: its product is then the
+        product of the upsampled input. The GEMMs run `uw` times the
+        conv's MACs. When the first tap row reads the input rows one to
+        one, the first group writes its band's rows and zeroes the columns
+        it misses, so the output needs no zero fill.
+      - A zero-inserted read puts column tap `b` in phase ``p = (left - b)
+        % uw`` of the group at input column offset ``d = (p + b - left) //
+        uw``, with ``s = uw * d``: output column ``uw * m + p`` reads input
+        column ``m + d`` through it. A phase that no tap reads at `d` is
+        zero in the product; the +0.0 it adds keeps the bits, since the
+        output starts at +0.0 and a sum from +0.0 is never -0.0. The groups
+        run in increasing `d`, which is each pixel's tap order.
 
-    The plane and phase forms size their bands so that one band's products
-    take about :data:`PRODUCT_BYTES`.
+    The plane form and a nearest read's phases size their bands so that
+    one band's products take about :data:`PRODUCT_BYTES`.
     """
     (n, h, w, cin), (kh, kw, _, cout) = x.shape, weights.shape
     (top, bottom, left, right), (uh, uw) = pads, up
@@ -303,35 +305,27 @@ def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple, up=(1, 1), zeros
         return out
 
     # Each group of every tap row is the GEMMs of that row's column taps `bs`
-    # (one GEMM per tap, their products side by side) and its column spans.
+    # (one GEMM per tap, their products side by side, a zero block for None)
+    # and its column spans.
     if uw > 1 and kw > 1 and (1 if zeros else uw) * cout <= PHASE_COLUMNS:
         if zeros:
-            # input column offset -> output column phase -> (its spans, its column tap)
-            offsets: dict = {}
-            for b, spans in enumerate(cols):
-                for out_c, in_c in spans:
-                    offsets.setdefault(in_c.start - out_c.start // uw, {})[out_c.start % uw] = (
-                        (out_c, in_c), b)
-            groups = []
-            for d in sorted(offsets):
-                if len(phases := offsets[d]) == uw:
-                    lo, hi = max(0, -uw * d), min(ow, uw * (w - d))
-                    groups.append(([phases[p][1] for p in range(uw)],
-                                   [(slice(lo, hi), slice(lo + uw * d, hi + uw * d))]))
-                else:
-                    groups += [([b], [span]) for span, b in phases.values()]
+            # phase p of input column offset d is tap b = left + uw * d - p
+            # where 0 <= b < kw; d runs over the offsets that some tap reads
+            taps = [([b if 0 <= (b := left + uw * d - p) < kw else None for p in range(uw)], uw * d)
+                    for d in range(-(left // uw), (kw - 2 - left) // uw + 2)]
             # the taps' band split, so also their bits: a BLAS may round a
             # GEMM's rows differently for another row count
-            first, split = False, (h * w * cout, BAND_BYTES)
+            split = (h * w * cout, BAND_BYTES)
         else:
             # tap b's product in every column phase is its product with the
             # upsampled input, which output column o reads at column o + b - left
-            spans = [(max(0, left - b), min(ow, uw * w + left - b)) for b in range(kw)]
-            groups = [([b] * uw, [(slice(lo, hi), slice(lo + b - left, hi + b - left))])
-                      for b, (lo, hi) in enumerate(spans) if lo < hi]
-            # the first tap row reads the input rows one to one
-            first = (top, uh, oh) == (0, 1, h) and bool(groups)
+            taps = [([b] * uw, b - left) for b in range(kw)]
             split = (h * w * uw * cout, PRODUCT_BYTES)
+        # output column o reads a group's product at column o + s
+        groups = [(bs, [(slice(lo, hi), slice(lo + s, hi + s))]) for bs, s in taps
+                  if (lo := max(0, -s)) < (hi := min(ow, uw * w - s))]
+        # the first tap row of a nearest read reads the input rows one to one
+        first = not zeros and (top, uh, oh) == (0, 1, h) and bool(groups)
         product = uw * cout
     else:
         groups = [([b], cols[b]) for b in range(kw) if cols[b]]
@@ -355,7 +349,10 @@ def _conv_taps(x: np.ndarray, weights: np.ndarray, pads: tuple, up=(1, 1), zeros
                     np.matmul(slab, weights[a, bs[0]], out=p)
                 else:
                     for q, b in enumerate(bs):
-                        np.matmul(slab, weights[a, b], out=p[:, q * cout:(q + 1) * cout])
+                        if b is None:  # a phase that reads no tap adds +0.0
+                            p[:, q * cout:(q + 1) * cout] = 0
+                        else:
+                            np.matmul(slab, weights[a, b], out=p[:, q * cout:(q + 1) * cout])
                 p = p.reshape(r1 - r0, -1, cout)
                 if first and a == j == 0:  # write the band's rows, zero what the tap misses
                     ((_, in_r),), ((out_c, in_c),) = row_spans, col_spans
@@ -465,10 +462,9 @@ def batchnorm_infer(x: Tensor4, params: BatchNormParams, out: np.ndarray | None 
     value, u the dtype's unit roundoff (2**-24 in float32): where x is close
     to `mean`, that is many ulps of y.
 
-    With more than one channel and at least :data:`BN_ROW_VALUES` values,
-    `scale` and `shift` are repeated along a row of pixels, so that numpy's
-    inner loop runs over a whole row instead of `c` values; the products
-    and sums, and so the bits, are the same.
+    With more than one channel, `scale` and `shift` are repeated along a
+    row of pixels, so that numpy's inner loop runs over a whole row instead
+    of `c` values; the products and sums, and so the bits, are the same.
     """
     if params.channels != x.c:
         raise ValueError(
@@ -478,7 +474,7 @@ def batchnorm_infer(x: Tensor4, params: BatchNormParams, out: np.ndarray | None 
     scale = params.gamma / np.sqrt(params.variance + params.eps)
     shift = params.beta - params.mean * scale
     # one channel broadcasts a scalar, which is faster still
-    if x.c > 1 and x.data.size >= BN_ROW_VALUES:
+    if x.c > 1:
         rows = np.empty((2, x.w, x.c), dtype=x.dtype)
         rows[0], rows[1] = scale, shift
         scale, shift = rows

@@ -194,6 +194,21 @@ class TestEvalCommand:
             "error: prediction/ground-truth sets differ "
             "(only in pred: ['scene_0002.dpth'], only in gt: [])\n")
 
+    @pytest.mark.parametrize("empty", ["pred", "gt"])
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_no_rasters_exit_2_naming_directory(self, tmp_path, capsys, empty, missing):
+        for side in ("pred", "gt"):
+            if side != empty:
+                generate_corpus(tmp_path / side, 1, 8, 8, seed=0)
+            elif not missing:
+                (tmp_path / side).mkdir()
+        args = ["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {tmp_path / empty}: no .dpth raster "
+                                "(missing or empty directory)\n")
+
     def test_shape_mismatch_exits_2_naming_file(self, tmp_path, capsys):
         gt = tmp_path / "gt"
         generate_corpus(gt, 2, 8, 8, seed=0)

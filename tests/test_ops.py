@@ -449,7 +449,7 @@ class TestRowBands:
                 pool.shutdown()
                 # each conv call, a deconv too, gives each worker one share
                 assert pool.jobs == workers
-        assert all(np.array_equal(outs[0], out) for out in outs[1:])
+        assert all(outs[0].tobytes() == out.tobytes() for out in outs[1:])
 
     def test_each_band_runs_once_under_thread_switching(self, monkeypatch):
         # more threads than cores, switching often: a band run twice would
@@ -601,7 +601,7 @@ class TestConvForms:
         outs = [self.run(x, weights, pads, (uh, uw), zeros, "BAND_BYTES", scratch, bands,
                          PRODUCT_BYTES=uw * -(-scratch // bands), PHASE_COLUMNS=columns)
                 for columns in (ops.PHASE_COLUMNS, 1)]
-        assert np.array_equal(*outs)
+        assert outs[0].tobytes() == outs[1].tobytes()
 
 
 class TestDeconv2d:
@@ -683,7 +683,7 @@ class TestDeconv2d:
         out = ops.deconv2d(x, k, stride=2).data
         ref = deconv2d_stuffed_ref(x, k, 2).data
         if cout > 1:
-            assert np.array_equal(out, ref)
+            assert out.tobytes() == ref.tobytes()
         else:  # single-output GEMMs round differently per row count
             assert np.max(np.abs(out - ref)) <= 1e-6 * np.max(np.abs(ref))
 
@@ -839,10 +839,11 @@ class TestBatchNorm:
         assert (np.abs(out - expect) <= bound).all()
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("shape", [(2, 5, 4, 16), (1, 3, 7, 3), (1, 4, 5, 1)])
-    def test_row_form_keeps_the_bits_of_the_broadcast(self, dtype, shape, monkeypatch):
-        # BN_ROW_VALUES 0 repeats scale and shift along each row of pixels
-        # (but for one channel), 2**62 broadcasts them per pixel
+    @pytest.mark.parametrize("shape", [(2, 5, 4, 16), (1, 3, 7, 3), (1, 4, 5, 1),
+                                       (1, 8, 10, 256)])
+    def test_row_form_keeps_the_bits_of_the_broadcast(self, dtype, shape):
+        # the repeated rows of scale and shift (a scalar for one channel)
+        # give the bits of broadcasting them per pixel, pure or in place
         rng = np.random.default_rng(sum(shape))
         c = shape[3]
         x = Tensor4((rng.standard_normal(shape) * 10).astype(dtype))
@@ -854,13 +855,13 @@ class TestBatchNorm:
             rng.standard_normal(c).astype(dtype),
             eps=1e-5,
         )
-        outs = []
-        for values in (0, 2**62):
-            monkeypatch.setattr(ops, "BN_ROW_VALUES", values)
-            into = x.data.copy()
-            ops.batchnorm_infer(Tensor4(into), p, out=into)
-            outs += [ops.batchnorm_infer(x, p).data.tobytes(), into.tobytes()]
-        assert len(set(outs)) == 1
+        scale = p.gamma / np.sqrt(p.variance + p.eps)
+        shift = p.beta - p.mean * scale
+        y = np.multiply(x.data, scale)
+        y += shift
+        into = x.data.copy()
+        ops.batchnorm_infer(Tensor4(into), p, out=into)
+        assert ops.batchnorm_infer(x, p).data.tobytes() == y.tobytes() == into.tobytes()
 
     def test_length_mismatch_rejected(self):
         x = Tensor4(np.zeros((1, 1, 1, 3), dtype=np.float32))
